@@ -33,13 +33,7 @@ from .diffusion import (
     forward_mask,
     select_unmask,
 )
-from .engines import (
-    DualCacheEngine,
-    EngineParams,
-    MarsEngine,
-    VanillaEngine,
-    make_engine,
-)
+from .engines import EngineParams, make_engine
 from .mars import (
     AnchorPlan,
     RefreshSchedule,

@@ -17,8 +17,7 @@ import numpy as np
 
 from .core import cosine_similarity
 from .diffusion import DecodeConfig, DecodeTrace, SequenceLayout, decode
-from .engines import EngineParams, make_engine
-from .mars import TEXT, VISUAL, refresh_due
+from .engines import EngineParams, make_engine, plan_cost, step_plan, validate_params
 from .model import ModelConfig, Weights, forward
 
 
@@ -109,12 +108,16 @@ def decode_drift(
     """Vanilla decode instrumented with consecutive-step drift of the cached
     boundary hidden states. Text rows are restricted to positions that are
     context (not in the active block) at both steps of a pair."""
-    params = EngineParams(kind="vanilla", capture_boundaries=True)
-    engine = make_engine(params, weights, layout, visual_embeddings, prompt_tokens)
+    engine = make_engine(
+        EngineParams(kind="vanilla"), weights, layout, visual_embeddings, prompt_tokens
+    )
     snapshots: list[tuple[int, int, list[np.ndarray]]] = []
 
     def observer(record, eng):
-        snapshots.append((record.step, record.block, eng.last_boundary_states))
+        # Every vanilla step is a full refresh, so the boundary caches hold
+        # this step's group-boundary inputs and final hidden states.
+        states = eng.group_inputs[1:] + [eng.hidden]
+        snapshots.append((record.step, record.block, [s.copy() for s in states]))
 
     decode(engine, layout, config, observer=observer)
     records = []
@@ -198,14 +201,6 @@ def anchor_visibility_count(
     return count
 
 
-def _step_blocks(layout: SequenceLayout, config: DecodeConfig) -> list[int]:
-    """Step t (1-based) -> active block, for count-mode schedules."""
-    blocks = []
-    for b, steps in enumerate(config.steps_per_block()):
-        blocks.extend([b] * steps)
-    return blocks
-
-
 def attention_cost(
     engine_params: EngineParams,
     model_config: ModelConfig,
@@ -215,71 +210,33 @@ def attention_cost(
 ) -> CostReport:
     """Analytic per-step score-entry counts for an engine's attention plan.
 
-    With a trace, the step -> block mapping is taken from the trace and every
-    recorded per-step count is checked against the analytic value; any
-    mismatch raises. Without a trace the count-mode block schedule is used."""
-    lay = layout
-    total = lay.total_length
-    nl = model_config.num_layers
+    Each step's plan comes from the engines' refresh policy and is costed by
+    the same `plan_cost`; only the chunked visibility counts differ in origin
+    (closed form here, the built masks in the engine). With a trace, the
+    step -> block mapping is taken from the trace and every recorded per-step
+    count is checked against the analytic value; any mismatch raises. Without
+    a trace the count-mode block schedule is used."""
+    budgets = validate_params(engine_params, model_config, layout)
+    visual_counts = [
+        anchor_visibility_count(layout, k, engine_params.allow_text_keys)
+        for k in budgets
+    ]
     if trace is not None:
         step_blocks = [(s.step, s.block) for s in trace.steps]
     else:
-        step_blocks = list(enumerate(_step_blocks(lay, decode_config), start=1))
+        blocks = [b for b, steps in enumerate(decode_config.steps_per_block())
+                  for _ in range(steps)]
+        step_blocks = list(enumerate(blocks, start=1))
 
     per_entries, per_rows = [], []
+    prev_block = None
     for t, block in step_blocks:
-        blk = len(lay.block_span(block))
-        text_rows = lay.prompt_length + lay.generation_length - blk
-        if engine_params.kind == "vanilla":
-            entries, rows = nl * total * total, nl * total
-        elif engine_params.kind == "dual_cache":
-            if trace is not None:
-                first_of_block = _block_start(trace, t)
-            else:
-                first_of_block = _is_block_start(lay, decode_config, t)
-            if first_of_block:
-                entries, rows = nl * total * total, nl * total
-            else:
-                entries, rows = nl * blk * total, nl * blk
-        elif engine_params.kind == "mars":
-            if t == 1:
-                entries = nl * total * total
-                entries += (
-                    model_config.num_groups
-                    * engine_params.sample_size
-                    * lay.visual_length
-                )
-                rows = nl * total
-            else:
-                schedule = engine_params.schedule
-                budgets = _resolved_budgets(engine_params, lay)
-                entries = rows = 0
-                for g in range(model_config.num_groups):
-                    layers = len(model_config.group_layers(g))
-                    live = blk
-                    vis_due = refresh_due(t, g, VISUAL, schedule) or any(
-                        refresh_due(t, gg, VISUAL, schedule) for gg in range(g)
-                    )
-                    text_due = refresh_due(t, g, TEXT, schedule) or any(
-                        refresh_due(t, gg, TEXT, schedule) for gg in range(g)
-                    )
-                    if vis_due:
-                        live += lay.visual_length
-                    if text_due:
-                        live += text_rows
-                    chunked = vis_due and engine_params.chunk_enabled
-                    n_full = live - (lay.visual_length if chunked else 0)
-                    step_entries = n_full * total
-                    if chunked:
-                        step_entries += anchor_visibility_count(
-                            lay, budgets[g], engine_params.allow_text_keys
-                        )
-                    entries += layers * step_entries
-                    rows += layers * live
-        else:
-            raise ValueError(f"unknown engine kind {engine_params.kind!r}")
-        per_entries.append(entries)
-        per_rows.append(rows)
+        plan = step_plan(engine_params, t, block != prev_block)
+        rec = plan_cost(plan, engine_params, model_config, layout, t, block,
+                        visual_counts)
+        per_entries.append(rec.attention_entries + rec.proxy_entries)
+        per_rows.append(rec.rows_recomputed)
+        prev_block = block
 
     report = CostReport(engine_params.kind, per_entries, per_rows)
     if trace is not None:
@@ -291,30 +248,6 @@ def attention_cost(
                     f"{recorded} entries, analytic {predicted}"
                 )
     return report
-
-
-def _resolved_budgets(params: EngineParams, layout: SequenceLayout) -> list[int]:
-    return [
-        layout.patches_per_frame if k == "full" else int(k)
-        for k in params.anchor_budgets
-    ]
-
-
-def _is_block_start(layout: SequenceLayout, config: DecodeConfig, t: int) -> bool:
-    starts, step = set(), 1
-    for steps in config.steps_per_block():
-        starts.add(step)
-        step += steps
-    return t in starts
-
-
-def _block_start(trace: DecodeTrace, t: int) -> bool:
-    prev_block = None
-    for s in trace.steps:
-        if s.step == t:
-            return prev_block != s.block
-        prev_block = s.block
-    raise ValueError(f"step {t} not present in trace")
 
 
 # -----------------------------------------------------------------------------

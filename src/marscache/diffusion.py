@@ -91,10 +91,9 @@ class SequenceLayout:
 
 @dataclass
 class DiffusionState:
-    """Current response state during denoising: token ids, mask flags, clock."""
+    """Current response state during denoising: token ids, mask flags and
+    the block being denoised."""
 
-    t_index: int  # 1-based global step counter
-    t: float  # timestep in [0, 1]
     token_ids: np.ndarray  # response tokens, mask_token_id where masked
     mask_flags: np.ndarray  # bool, True exactly where token is [MASK]
     active_block: int = 0
@@ -162,7 +161,7 @@ def forward_mask(clean_tokens, t: float, rng: RandomStream, mask_token_id: int) 
         raise ValueError("clean tokens must not contain the reserved [MASK] id")
     flags = rng.uniform(size=clean.shape[0]) < t
     tokens = np.where(flags, mask_token_id, clean)
-    return DiffusionState(t_index=1, t=t, token_ids=tokens, mask_flags=flags)
+    return DiffusionState(token_ids=tokens, mask_flags=flags)
 
 
 def assemble_embeddings(
@@ -353,18 +352,18 @@ def decode(
     """Run a full block-wise decode with the given engine session.
 
     The engine is a session object exposing .name and .step(t, state) ->
-    (logits over the active block, StepRecord); see the engines module. The
-    response starts fully masked; blocks are processed left to right and each
-    step commits at least one token, so the loop terminates in <= num_steps
-    steps. Returns the unmasked response tokens and the per-step trace."""
+    (logits over the active block, StepRecord); see the engines module.
+    Every decode restarts the refresh clock at t = 1, so a session may be
+    reused. The response starts fully masked; blocks are processed left to
+    right and each step commits at least one token, so the loop terminates in
+    <= num_steps steps. Returns the unmasked response tokens and the per-step
+    trace."""
     if config.generation_length != layout.generation_length:
         raise ValueError("decode config and layout disagree on generation length")
     if config.block_length != layout.block_length:
         raise ValueError("decode config and layout disagree on block length")
 
     state = DiffusionState(
-        t_index=1,
-        t=1.0,
         token_ids=np.full(layout.generation_length, layout.mask_token_id, np.int64),
         mask_flags=np.ones(layout.generation_length, dtype=bool),
         active_block=0,
@@ -422,7 +421,7 @@ def decode(
                 trace.logits_per_step.append(logits.copy())
             if observer is not None:
                 observer(record, engine)
-            state.t_index = t = t + 1
+            t += 1
     if np.any(state.mask_flags):
         raise RuntimeError("decode ended with masked positions remaining")
     return state.token_ids.copy(), trace

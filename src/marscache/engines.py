@@ -1,13 +1,22 @@
-"""The three decode engines: vanilla full recompute, dual-cache (context
-cached per block), and the asynchronous-refresh engine with chunked visual
-attention and cached anchor tokens.
+"""One decode engine session for every engine kind, driven by a per-step plan.
 
-All engines share one step contract: given the global step counter and the
-current diffusion state, produce logits over the active block plus a step
-report (refresh events, score-entry count, rows recomputed). The cached
-engines run a single shallow-to-deep sweep per step in which the set of live
-(recomputed) rows grows monotonically with depth; everything not live is
-served from per-layer key/value caches."""
+Each step, the refresh policy `step_plan` decides which context rows are
+recomputed, from which layer group, and whether refreshed visual rows use the
+chunked anchor mask:
+
+- vanilla recomputes everything at every step;
+- dual_cache recomputes everything at the first step of each block and only
+  the active block otherwise;
+- mars recomputes everything at step 1, where it also fixes the anchor plan,
+  and afterwards refreshes (group, modality) context whenever t is a multiple
+  of its interval.
+
+A full plan runs the model's forward pass and rewrites every per-layer
+key/value cache and group-boundary state. Any other plan runs one
+shallow-to-deep sweep in which the set of live (recomputed) rows grows
+monotonically with depth; everything not live is served from the caches.
+`plan_cost` turns a plan into the step's record (score entries, recomputed
+rows, refreshed groups); the analytic cost model reads the same plans."""
 
 from __future__ import annotations
 
@@ -30,6 +39,7 @@ from .mars import (
     visual_key_visibility,
 )
 from .model import (
+    ModelConfig,
     Weights,
     apply_rotary,
     forward,
@@ -54,8 +64,6 @@ class EngineParams:
     sample_size: int = 32
     # Open switch: let non-anchor visual queries also see prompt/response keys.
     allow_text_keys: bool = False
-    # Vanilla-only instrumentation: stash group-boundary hidden states per step.
-    capture_boundaries: bool = False
 
     def __post_init__(self):
         if self.kind not in ENGINE_KINDS:
@@ -67,7 +75,109 @@ class EngineParams:
                 raise ValueError("mars engine requires anchor budgets")
 
 
-class _EngineBase:
+def validate_params(
+    params: EngineParams, model_config: ModelConfig, layout: SequenceLayout
+) -> tuple[int, ...]:
+    """Check a configuration against the model and layout before any step
+    runs; returns the resolved per-group anchor budgets (empty unless mars)."""
+    if params.kind != "mars":
+        return ()
+    groups = model_config.num_groups
+    if params.schedule.num_groups != groups:
+        raise ValueError(
+            f"schedule covers {params.schedule.num_groups} groups, model has {groups}"
+        )
+    if len(params.anchor_budgets) != groups:
+        raise ValueError(
+            f"{len(params.anchor_budgets)} anchor budgets given, model has {groups} groups"
+        )
+    if not 1 <= params.sample_size <= layout.total_length:
+        raise ValueError(
+            f"sample size {params.sample_size} outside [1, {layout.total_length}]"
+        )
+    return resolve_budgets(params.anchor_budgets, layout.patches_per_frame)
+
+
+@dataclass(frozen=True)
+class StepPlan:
+    """One step's refresh decision. Active-block rows are always recomputed;
+    visual and text-context rows join the sweep at their entry group and stay
+    live through every deeper group (None: served from the caches)."""
+
+    entry_visual: int | None
+    entry_text: int | None
+    full: bool = False  # forward pass over everything; every cache rewritten
+    chunked: bool = False  # refreshed visual rows attend under the anchor mask
+    build_anchors: bool = False  # fix the anchor plan from this step
+
+
+def step_plan(params: EngineParams, t: int, block_start: bool) -> StepPlan:
+    """The refresh policy: the plan of global step t (1-based), where
+    block_start tells whether t is the first step of its block."""
+    kind = params.kind
+    if t == 1 or kind == "vanilla" or (kind == "dual_cache" and block_start):
+        return StepPlan(0, 0, full=True, build_anchors=kind == "mars")
+    if kind == "dual_cache":
+        return StepPlan(None, None)
+    # The due groups form a depth suffix, so the shallowest one is the entry.
+    schedule = params.schedule
+    entry = {
+        m: next((g for g in range(schedule.num_groups)
+                 if refresh_due(t, g, m, schedule)), None)
+        for m in (VISUAL, TEXT)
+    }
+    return StepPlan(
+        entry[VISUAL], entry[TEXT],
+        chunked=params.chunk_enabled and entry[VISUAL] is not None,
+    )
+
+
+def plan_cost(
+    plan: StepPlan,
+    params: EngineParams,
+    model_config: ModelConfig,
+    layout: SequenceLayout,
+    t: int,
+    block: int,
+    visual_counts,
+) -> StepRecord:
+    """The step record implied by a plan: score entries, proxy entries,
+    recomputed row-layers and refreshed groups. visual_counts[g] is the
+    visible-key count of group g's chunked visual mask."""
+    cfg, lay = model_config, layout
+    total, vis = lay.total_length, lay.visual_length
+    blk = len(lay.block_span(block))
+    entries = rows = 0
+    for g in range(cfg.num_groups):
+        visual_live = plan.entry_visual is not None and g >= plan.entry_visual
+        text_live = plan.entry_text is not None and g >= plan.entry_text
+        live = blk + (vis if visual_live else 0) + (total - vis - blk if text_live else 0)
+        if visual_live and plan.chunked:
+            layer_entries = (live - vis) * total + visual_counts[g]
+        else:
+            layer_entries = live * total
+        layers = len(cfg.group_layers(g))
+        entries += layers * layer_entries
+        rows += layers * live
+
+    def refreshed(entry):
+        return [] if entry is None else list(range(entry, cfg.num_groups))
+
+    return StepRecord(
+        step=t, block=block, committed=[],
+        refreshed_visual=refreshed(plan.entry_visual),
+        refreshed_text=refreshed(plan.entry_text),
+        attention_entries=entries,
+        proxy_entries=cfg.num_groups * params.sample_size * vis if plan.build_anchors else 0,
+        rows_recomputed=rows,
+    )
+
+
+class EngineSession:
+    """Decode session for any engine kind. Reusable: step 1 of every decode
+    is a full refresh that rebuilds every cache and, for mars, the anchor
+    plan and its visibility masks."""
+
     def __init__(
         self,
         weights: Weights,
@@ -76,17 +186,29 @@ class _EngineBase:
         prompt_tokens,
         params: EngineParams,
     ):
+        validate_params(params, weights.config, layout)
         self.weights = weights
         self.layout = layout
         self.visual_embeddings = np.asarray(visual_embeddings, dtype=np.float64)
         self.prompt_tokens = np.asarray(prompt_tokens, dtype=np.int64)
         self.params = params
+        self.name = params.kind
         cfg = weights.config
+        total = layout.total_length
         self.cos, self.sin = rotary_phases(layout.position_ids, cfg.head_dim)
-        # Group-boundary layers whose inputs are the cached quantities: the
-        # output of each group, i.e. inputs of deeper group starts + final.
-        self.boundary_layers = list(cfg.group_boundaries[1:]) + [cfg.num_layers]
-        self.last_boundary_states: list[np.ndarray] | None = None
+        shape = (cfg.num_heads, total, cfg.head_dim)
+        self.cache_k = [np.zeros(shape) for _ in range(cfg.num_layers)]
+        self.cache_v = [np.zeros(shape) for _ in range(cfg.num_layers)]
+        # group_inputs[g] holds the hidden states entering group g (g >= 1);
+        # hidden holds those leaving the last layer (and is the sweep buffer).
+        self.group_inputs = [
+            np.zeros((total, cfg.model_dim)) for _ in range(cfg.num_groups)
+        ]
+        self.hidden = np.zeros((total, cfg.model_dim))
+        self.cached_block: int | None = None
+        self.plan: AnchorPlan | None = None
+        self.visual_masks: list[np.ndarray] = []
+        self.visual_mask_counts: list[int] = []
 
     def _embeddings(self, state: DiffusionState):
         return assemble_embeddings(
@@ -97,65 +219,22 @@ class _EngineBase:
             state.token_ids,
         )
 
-    def _active_rows(self, state: DiffusionState) -> np.ndarray:
-        span = self.layout.block_span(state.active_block)
-        return np.arange(span.start, span.stop)
-
-    def _text_context_rows(self, state: DiffusionState) -> np.ndarray:
-        """Prompt plus every response position outside the active block
-        (decoded blocks and still-masked future blocks alike)."""
-        lay = self.layout
-        active = set(self._active_rows(state).tolist())
-        rows = list(lay.prompt_span) + [
-            i for i in lay.response_span if i not in active
-        ]
-        return np.array(sorted(rows), dtype=np.int64)
-
-
-class VanillaEngine(_EngineBase):
-    """Full bidirectional forward over the entire sequence at every step."""
-
-    name = "vanilla"
-
     def step(self, t: int, state: DiffusionState):
-        cfg = self.weights.config
-        total = self.layout.total_length
-        logits, acts = forward(
-            self.weights, self._embeddings(state), self.layout.position_ids
+        """Run step t's plan; returns (active-block logits, StepRecord)."""
+        plan = step_plan(self.params, t, state.active_block != self.cached_block)
+        if not plan.full and self.cached_block is None:
+            raise RuntimeError("engine stepped at t > 1 without initialization")
+        self.cached_block = state.active_block
+        logits = self._full_refresh(state, plan) if plan.full else self._sweep(state, plan)
+        record = plan_cost(
+            plan, self.params, self.weights.config, self.layout, t,
+            state.active_block, self.visual_mask_counts,
         )
-        if self.params.capture_boundaries:
-            self.last_boundary_states = [acts.hidden[b].copy() for b in self.boundary_layers]
-        span = self.layout.block_span(state.active_block)
-        record = StepRecord(
-            step=t,
-            block=state.active_block,
-            committed=[],
-            attention_entries=cfg.num_layers * total * total,
-            rows_recomputed=cfg.num_layers * total,
-        )
-        return logits[span.start : span.stop], record
+        if self.plan is not None:
+            record.anchor_digest = self.plan.digest()
+        return logits, record
 
-
-class _CachedEngineBase(_EngineBase):
-    """Shared cache plumbing and the layer sweep used by dual_cache and mars."""
-
-    def __init__(self, weights, layout, visual_embeddings, prompt_tokens, params):
-        super().__init__(weights, layout, visual_embeddings, prompt_tokens, params)
-        cfg = weights.config
-        total = layout.total_length
-        shape = (cfg.num_heads, total, cfg.head_dim)
-        self.cache_k = [np.zeros(shape) for _ in range(cfg.num_layers)]
-        self.cache_v = [np.zeros(shape) for _ in range(cfg.num_layers)]
-        # group_inputs[g] holds the hidden states entering group g (g >= 1).
-        self.group_inputs = [
-            np.zeros((total, cfg.model_dim)) for _ in range(cfg.num_groups)
-        ]
-        self.scratch = np.zeros((total, cfg.model_dim))
-        self.last_refresh = {
-            (g, m): 0 for g in range(cfg.num_groups) for m in (VISUAL, TEXT)
-        }
-
-    def _full_init(self, t: int, state: DiffusionState):
+    def _full_refresh(self, state: DiffusionState, plan: StepPlan):
         """Full forward; repopulate every per-layer K/V and boundary cache."""
         cfg = self.weights.config
         logits, acts = forward(
@@ -166,57 +245,80 @@ class _CachedEngineBase(_EngineBase):
             self.cache_v[l][:] = acts.values[l]
         for g in range(1, cfg.num_groups):
             self.group_inputs[g][:] = acts.hidden[cfg.group_boundaries[g]]
-        for key in self.last_refresh:
-            self.last_refresh[key] = t
-        return logits, acts
+        self.hidden[:] = acts.hidden[-1]
+        if plan.build_anchors:
+            self._build_anchor_plan(acts)
+        span = self.layout.block_span(state.active_block)
+        return logits[span.start : span.stop]
 
-    def _sweep(
-        self,
-        state: DiffusionState,
-        entry_visual: int | None,
-        entry_text: int | None,
-        visual_masks: list | None = None,
-        visual_mask_counts: list | None = None,
-    ):
+    def _build_anchor_plan(self, acts) -> None:
+        """Proxy-score each group's first layer from the step-1 activations
+        and cache the per-group anchor sets plus their additive visibility
+        masks and visible-key counts."""
+        cfg = self.weights.config
+        lay = self.layout
+        sample_idx = equidistant_indices(lay.total_length, self.params.sample_size)
+        vis_idx = np.arange(lay.visual_length)
+        proxies = []
+        for g in range(cfg.num_groups):
+            l0 = cfg.group_boundaries[g]
+            lw = self.weights.layers[l0]
+            xn = rms_norm(acts.hidden[l0], lw.attn_norm)
+            q = apply_rotary(
+                split_heads(xn @ lw.wq, cfg.num_heads), self.cos, self.sin
+            )
+            k = acts.keys[l0]
+            per_head = [
+                proxy_scores(q[head], k[head], sample_idx, vis_idx)
+                for head in range(cfg.num_heads)
+            ]
+            proxies.append(np.mean(per_head, axis=0))
+        self.plan = select_anchors(
+            proxies, lay, self.params.anchor_budgets, sample_indices=sample_idx
+        )
+        self.visual_masks, self.visual_mask_counts = [], []
+        for g in range(cfg.num_groups):
+            vis = visual_key_visibility(
+                lay, self.plan.unions[g], self.params.allow_text_keys
+            )
+            self.visual_masks.append(visibility_to_additive(vis))
+            self.visual_mask_counts.append(int(vis.sum()))
+
+    def _sweep(self, state: DiffusionState, plan: StepPlan):
         """One shallow-to-deep pass recomputing the live rows of each group.
 
         Active-block rows are live from layer 0; visual / text-context rows
-        join at their modality's entry group (the shallowest refreshing group)
-        with inputs taken from the cached boundary states, and stay live
-        through all deeper groups. Fresh keys/values overwrite the caches as
-        they are produced, so rows recomputed in the same step see each other
-        coherently. Returns (active-block logits, entries, rows_recomputed)."""
+        join at their plan's entry group with inputs taken from the cached
+        boundary states, and stay live through all deeper groups. Fresh
+        keys/values overwrite the caches as they are produced, so rows
+        recomputed in the same step see each other coherently. Returns the
+        active-block logits."""
         cfg = self.weights.config
         lay = self.layout
-        total = lay.total_length
         emb = self._embeddings(state)
-        active = self._active_rows(state)
+        span = lay.block_span(state.active_block)
+        active = np.arange(span.start, span.stop)
         vis_rows = np.arange(lay.visual_length)
-        text_rows = self._text_context_rows(state)
+        # Prompt plus every response position outside the active block.
+        text_rows = np.concatenate((
+            np.arange(lay.visual_length, span.start),
+            np.arange(span.stop, lay.total_length),
+        ))
 
-        h = self.scratch
+        h = self.hidden
         h[active] = emb[active]
         live = active
-        entries = 0
-        rows_recomputed = 0
-
         for g in range(cfg.num_groups):
-            joiners = []
-            if entry_visual == g:
-                joiners.append(vis_rows)
-            if entry_text == g:
-                joiners.append(text_rows)
-            for rows in joiners:
-                h[rows] = emb[rows] if g == 0 else self.group_inputs[g][rows]
-                live = np.union1d(live, rows)
+            for entry, rows in ((plan.entry_visual, vis_rows), (plan.entry_text, text_rows)):
+                if entry == g:
+                    h[rows] = emb[rows] if g == 0 else self.group_inputs[g][rows]
+                    live = np.union1d(live, rows)
 
-            visual_live = entry_visual is not None and g >= entry_visual
-            chunked = visual_live and self.params.chunk_enabled and visual_masks is not None
+            chunked = plan.chunked and g >= plan.entry_visual
             if chunked:
                 vis_sel = live < lay.visual_length
                 full_sel = ~vis_sel
             else:
-                vis_sel = np.zeros(live.size, dtype=bool)
                 full_sel = np.ones(live.size, dtype=bool)
             n_full = int(np.sum(full_sel))
 
@@ -240,164 +342,15 @@ class _CachedEngineBase(_EngineBase):
                 if chunked:
                     attn[vis_sel] = multi_head_attention(
                         q[:, vis_sel, :], self.cache_k[l], self.cache_v[l],
-                        visual_masks[g], cfg.head_dim,
+                        self.visual_masks[g], cfg.head_dim,
                     )
                 x = x + attn @ lw.wo
                 x = x + gelu(rms_norm(x, lw.ff_norm) @ lw.w1) @ lw.w2
                 h[live] = x
-
-                # Chunk-off visual rows sit in the full class and are already
-                # counted by the n_full term.
-                entries += n_full * total
-                if chunked:
-                    entries += visual_mask_counts[g]
-                rows_recomputed += live.size
             if g + 1 < cfg.num_groups:
                 self.group_inputs[g + 1][live] = h[live]
 
-        logits = rms_norm(h[active], self.weights.final_norm) @ self.weights.head
-        return logits, entries, rows_recomputed
-
-
-class DualCacheEngine(_CachedEngineBase):
-    """Per-block context caching: a full forward at the first step of every
-    block caches K/V for all non-active positions; the remaining steps of the
-    block recompute active-block rows only against the cached context."""
-
-    name = "dual_cache"
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.cached_block: int | None = None
-
-    def step(self, t: int, state: DiffusionState):
-        cfg = self.weights.config
-        total = self.layout.total_length
-        span = self.layout.block_span(state.active_block)
-        if state.active_block != self.cached_block:
-            logits, _ = self._full_init(t, state)
-            self.cached_block = state.active_block
-            record = StepRecord(
-                step=t, block=state.active_block, committed=[],
-                refreshed_visual=list(range(cfg.num_groups)),
-                refreshed_text=list(range(cfg.num_groups)),
-                attention_entries=cfg.num_layers * total * total,
-                rows_recomputed=cfg.num_layers * total,
-            )
-            return logits[span.start : span.stop], record
-        logits, entries, rows = self._sweep(state, None, None)
-        record = StepRecord(
-            step=t, block=state.active_block, committed=[],
-            attention_entries=entries, rows_recomputed=rows,
-        )
-        return logits, record
-
-
-class MarsEngine(_CachedEngineBase):
-    """Asynchronous modality/depth-wise refreshing with chunked visual
-    attention and cached anchors.
-
-    Step 1 runs full attention, fills every cache, and fixes the anchor plan
-    from proxy scores at each group's first layer; the plan is immutable for
-    the rest of the decode. Later steps always recompute the active block and
-    refresh (group, modality) context whenever t is a multiple of its
-    interval, reading the refreshed group's input from the cached boundary
-    states of the group above."""
-
-    name = "mars"
-
-    def __init__(self, weights, layout, visual_embeddings, prompt_tokens, params):
-        super().__init__(weights, layout, visual_embeddings, prompt_tokens, params)
-        cfg = weights.config
-        if params.schedule.num_groups != cfg.num_groups:
-            raise ValueError(
-                f"schedule covers {params.schedule.num_groups} groups, "
-                f"model has {cfg.num_groups}"
-            )
-        # Budget validity is checked up front; the plan itself needs step 1.
-        resolve_budgets(params.anchor_budgets, layout.patches_per_frame)
-        self.plan: AnchorPlan | None = None
-        self.visual_masks: list[np.ndarray] = []
-        self.visual_mask_counts: list[int] = []
-        self.initialized = False
-
-    def _build_anchor_plan(self, acts) -> int:
-        """Proxy-score each group's first layer from the step-1 activations
-        and cache the per-group anchor sets plus their additive visibility
-        masks. Returns the proxy score-entry count."""
-        cfg = self.weights.config
-        lay = self.layout
-        sample_idx = equidistant_indices(lay.total_length, self.params.sample_size)
-        vis_idx = np.arange(lay.visual_length)
-        proxies = []
-        for g in range(cfg.num_groups):
-            l0 = cfg.group_boundaries[g]
-            lw = self.weights.layers[l0]
-            xn = rms_norm(acts.hidden[l0], lw.attn_norm)
-            q = apply_rotary(
-                split_heads(xn @ lw.wq, cfg.num_heads), self.cos, self.sin
-            )
-            k = acts.keys[l0]
-            per_head = [
-                proxy_scores(q[head], k[head], sample_idx, vis_idx)
-                for head in range(cfg.num_heads)
-            ]
-            proxies.append(np.mean(per_head, axis=0))
-        self.plan = select_anchors(
-            proxies, lay, self.params.anchor_budgets, sample_indices=sample_idx
-        )
-        for g in range(cfg.num_groups):
-            vis = visual_key_visibility(
-                lay, self.plan.unions[g], self.params.allow_text_keys
-            )
-            self.visual_masks.append(visibility_to_additive(vis))
-            self.visual_mask_counts.append(int(vis.sum()))
-        return cfg.num_groups * sample_idx.size * vis_idx.size
-
-    def step(self, t: int, state: DiffusionState):
-        cfg = self.weights.config
-        lay = self.layout
-        span = lay.block_span(state.active_block)
-        if t == 1:
-            logits, acts = self._full_init(t, state)
-            proxy_entries = self._build_anchor_plan(acts)
-            self.initialized = True
-            record = StepRecord(
-                step=t, block=state.active_block, committed=[],
-                refreshed_visual=list(range(cfg.num_groups)),
-                refreshed_text=list(range(cfg.num_groups)),
-                attention_entries=cfg.num_layers * lay.total_length ** 2,
-                proxy_entries=proxy_entries,
-                rows_recomputed=cfg.num_layers * lay.total_length,
-                anchor_digest=self.plan.digest(),
-            )
-            return logits[span.start : span.stop], record
-        if not self.initialized:
-            raise RuntimeError("engine stepped at t > 1 without initialization")
-
-        schedule = self.params.schedule
-        due_visual = [g for g in range(cfg.num_groups)
-                      if refresh_due(t, g, VISUAL, schedule)]
-        due_text = [g for g in range(cfg.num_groups)
-                    if refresh_due(t, g, TEXT, schedule)]
-        logits, entries, rows = self._sweep(
-            state,
-            due_visual[0] if due_visual else None,
-            due_text[0] if due_text else None,
-            self.visual_masks,
-            self.visual_mask_counts,
-        )
-        for g in due_visual:
-            self.last_refresh[(g, VISUAL)] = t
-        for g in due_text:
-            self.last_refresh[(g, TEXT)] = t
-        record = StepRecord(
-            step=t, block=state.active_block, committed=[],
-            refreshed_visual=due_visual, refreshed_text=due_text,
-            attention_entries=entries, rows_recomputed=rows,
-            anchor_digest=self.plan.digest(),
-        )
-        return logits, record
+        return rms_norm(h[active], self.weights.final_norm) @ self.weights.head
 
 
 def make_engine(
@@ -407,10 +360,6 @@ def make_engine(
     visual_embeddings,
     prompt_tokens,
 ):
-    """Build a fresh single-decode engine session."""
-    cls = {
-        "vanilla": VanillaEngine,
-        "dual_cache": DualCacheEngine,
-        "mars": MarsEngine,
-    }[params.kind]
-    return cls(weights, layout, visual_embeddings, prompt_tokens, params)
+    """Build an engine session; raises ValueError on a configuration that
+    does not fit the model or layout."""
+    return EngineSession(weights, layout, visual_embeddings, prompt_tokens, params)

@@ -1,6 +1,6 @@
 """Named schedule/budget presets shipped as JSON files. A preset is a partial
 engine configuration; presets listed later in a run config override earlier
-ones, and explicit engine keys override presets. Keys: engine_kind, groups,
+ones, and explicit engine keys override presets. Keys: engine_kind,
 tau_text, tau_visual, anchor_budgets, chunk_enabled, sample_size."""
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from .mars import RefreshSchedule
 
 PRESET_KEYS = {
     "engine_kind",
-    "groups",
     "tau_text",
     "tau_visual",
     "anchor_budgets",
