@@ -215,17 +215,25 @@ def attention_cost(
     (closed form here, the built masks in the engine). With a trace, the
     step -> block mapping is taken from the trace and every recorded per-step
     count is checked against the analytic value; any mismatch raises. Without
-    a trace the count-mode block schedule is used."""
+    a trace, block b runs min(budget_b, ceil(len_b / tokens_per_step)) steps;
+    threshold-mode step counts depend on the decode, so they need the trace."""
     budgets = validate_params(engine_params, model_config, layout)
     visual_counts = [
         anchor_visibility_count(layout, k, engine_params.allow_text_keys)
         for k in budgets
     ]
+    tps = decode_config.tokens_per_step
     if trace is not None:
         step_blocks = [(s.step, s.block) for s in trace.steps]
+    elif tps is None:
+        raise ValueError(
+            "threshold-mode step counts depend on the decode; pass its trace"
+        )
     else:
-        blocks = [b for b, steps in enumerate(decode_config.steps_per_block())
-                  for _ in range(steps)]
+        blocks = [
+            b for b, budget in enumerate(decode_config.steps_per_block())
+            for _ in range(min(budget, -(-len(layout.block_span(b)) // tps)))
+        ]
         step_blocks = list(enumerate(blocks, start=1))
 
     per_entries, per_rows = [], []

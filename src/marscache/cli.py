@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from .analysis import (
     visibility_frequency,
     write_csv,
 )
-from .diffusion import DecodeConfig, DecodeTrace, SequenceLayout, decode
+from .diffusion import DecodeConfig, DecodeTrace, SequenceLayout, assemble_embeddings, decode
 from .engines import EngineParams, make_engine
 from .model import ModelConfig, forward, init_weights
 from .presets import engine_params_from_dict, merge_presets
@@ -159,18 +160,22 @@ def _echo_config(cfg: dict, outdir: Path) -> None:
         f.write("\n")
 
 
-def _run_one(cfg: dict, engine_cfg: dict):
+def _run_engines(cfg: dict, engine_cfgs: list[dict]) -> list:
+    """Decode once per engine config on one set of weights and inputs;
+    returns (params, tokens, trace, seconds) per engine."""
     model_cfg = build_model_config(cfg)
     layout = build_layout(cfg)
     decode_cfg = build_decode_config(cfg)
     weights = init_weights(model_cfg, cfg["seed"])
     wk = make_workload(layout, model_cfg, cfg["seed"])
-    params = build_engine_params(engine_cfg)
-    engine = make_engine(params, weights, layout, wk.visual_embeddings, wk.prompt_tokens)
-    started = time.perf_counter()
-    tokens, trace = decode(engine, layout, decode_cfg)
-    elapsed = time.perf_counter() - started
-    return tokens, trace, elapsed, params, (model_cfg, layout, decode_cfg, weights, wk)
+    results = []
+    for engine_cfg in engine_cfgs:
+        params = build_engine_params(engine_cfg)
+        engine = make_engine(params, weights, layout, wk.visual_embeddings, wk.prompt_tokens)
+        started = time.perf_counter()
+        tokens, trace = decode(engine, layout, decode_cfg)
+        results.append((params, tokens, trace, time.perf_counter() - started))
+    return results
 
 
 def _validate(cfg: dict, engine_cfg: dict) -> None:
@@ -185,7 +190,7 @@ def cmd_decode(cfg: dict) -> int:
     _validate(cfg, cfg["engine"])
     outdir = Path(cfg["output_dir"])
     _echo_config(cfg, outdir)
-    tokens, trace, elapsed, _, _ = _run_one(cfg, cfg["engine"])
+    [(_, tokens, trace, elapsed)] = _run_engines(cfg, [cfg["engine"]])
     with open(outdir / "tokens.txt", "w") as f:
         f.write(" ".join(str(int(t)) for t in tokens) + "\n")
     trace.to_jsonl(str(outdir / "trace.jsonl"))
@@ -206,26 +211,20 @@ def cmd_bench(cfg: dict) -> int:
     outdir = Path(cfg["output_dir"])
     _echo_config(cfg, outdir)
 
-    results = []
-    for engine_cfg in engines:
-        tokens, trace, elapsed, params, _ = _run_one(cfg, engine_cfg)
+    # A vanilla reference run feeds the ratio/agreement columns when the list
+    # has none; it is not emitted as a row.
+    has_vanilla = any(build_engine_params(e).kind == "vanilla" for e in engines)
+    runs = _run_engines(cfg, engines if has_vanilla else engines + [{"kind": "vanilla"}])
+    _, base_tokens, base_trace, _ = next(r for r in runs if r[0].kind == "vanilla")
+    base_entries = base_trace.total_entries()
+    rows = []
+    for engine_cfg, (params, tokens, trace, elapsed) in zip(engines, runs):
         name = engine_cfg.get("name") or "+".join(
             engine_cfg.get("presets", []) or [params.kind]
         )
-        results.append((name, params.kind, tokens, trace, elapsed))
-
-    baseline = next((r for r in results if r[1] == "vanilla"), None)
-    if baseline is None:
-        # Reference run for the ratio/agreement columns; not emitted as a row.
-        tokens, trace, elapsed, params, _ = _run_one(cfg, {"kind": "vanilla"})
-        baseline = ("vanilla-ref", "vanilla", tokens, trace, elapsed)
-
-    base_tokens, base_entries = baseline[2], baseline[3].total_entries()
-    rows = []
-    for name, kind, tokens, trace, elapsed in results:
         rows.append([
             name,
-            kind,
+            params.kind,
             f"{len(tokens) / elapsed:.3f}",
             trace.total_entries(),
             f"{trace.total_entries() / base_entries:.6f}",
@@ -299,11 +298,9 @@ def cmd_analyze(cfg: dict, mode: str) -> int:
 
     if mode == "sparsity":
         response = np.full(layout.generation_length, layout.mask_token_id)
-        emb = np.concatenate([
-            wk.visual_embeddings,
-            weights.embedding[wk.prompt_tokens],
-            weights.embedding[response],
-        ])
+        emb = assemble_embeddings(
+            weights, layout, wk.visual_embeddings, wk.prompt_tokens, response
+        )
         profile = entropy_profile(weights, emb, layout.position_ids)
         write_csv(
             str(outdir / "sparsity.csv"),
@@ -324,13 +321,9 @@ def cmd_analyze(cfg: dict, mode: str) -> int:
             weights.embedding[wk.prompt_tokens], weights.embedding[response]
         ])
         pos = np.asarray(layout.position_ids)
-        causal_cfg = ModelConfig(
-            num_layers=model_cfg.num_layers, num_heads=model_cfg.num_heads,
-            model_dim=model_cfg.model_dim, head_dim=model_cfg.head_dim,
-            vocab_size=model_cfg.vocab_size,
-            group_boundaries=model_cfg.group_boundaries, mask_mode="causal",
+        causal_weights = init_weights(
+            replace(model_cfg, mask_mode="causal"), cfg["seed"]
         )
-        causal_weights = init_weights(causal_cfg, cfg["seed"])
 
         def run(ws, vis_emb, vis_pos):
             full = np.concatenate([vis_emb, tail])
@@ -365,7 +358,10 @@ def cmd_analyze(cfg: dict, mode: str) -> int:
     params = build_engine_params(cfg["engine"])
     trace_path = opts.get("trace")
     if trace_path:
-        trace = DecodeTrace.from_jsonl(trace_path)
+        try:
+            trace = DecodeTrace.from_jsonl(trace_path)
+        except ValueError as e:
+            raise ConfigError(f"analyze.trace: {e}") from e
     else:
         engine = make_engine(
             params, weights, layout, wk.visual_embeddings, wk.prompt_tokens

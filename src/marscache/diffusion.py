@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -300,26 +300,19 @@ class DecodeTrace:
         return [groups.get(g, 0) for g in range(size)]
 
     def to_jsonl(self, path: str) -> None:
+        """A schema header line, then one line per step holding StepRecord's
+        fields in declaration order."""
         with open(path, "w") as f:
             f.write(json.dumps({"schema": self.SCHEMA, "engine": self.engine,
                                 "config": self.config}) + "\n")
             for s in self.steps:
-                f.write(json.dumps({
-                    "step": s.step,
-                    "block": s.block,
-                    "committed": s.committed,
-                    "refreshed_visual": s.refreshed_visual,
-                    "refreshed_text": s.refreshed_text,
-                    "attention_entries": s.attention_entries,
-                    "proxy_entries": s.proxy_entries,
-                    "rows_recomputed": s.rows_recomputed,
-                    "elapsed_ns": s.elapsed_ns,
-                    "anchor_digest": s.anchor_digest,
-                    "masked_remaining": s.masked_remaining,
-                }) + "\n")
+                f.write(json.dumps(asdict(s)) + "\n")
 
     @classmethod
     def from_jsonl(cls, path: str) -> "DecodeTrace":
+        """Load a trace written by to_jsonl; a step key that StepRecord lacks
+        raises ValueError."""
+        known = {f.name for f in fields(StepRecord)}
         with open(path) as f:
             head = json.loads(f.readline())
             if head.get("schema") != cls.SCHEMA:
@@ -327,18 +320,11 @@ class DecodeTrace:
             trace = cls(engine=head["engine"], config=head["config"])
             for line in f:
                 d = json.loads(line)
-                trace.steps.append(StepRecord(
-                    step=d["step"], block=d["block"],
-                    committed=[tuple(c) for c in d["committed"]],
-                    refreshed_visual=d["refreshed_visual"],
-                    refreshed_text=d["refreshed_text"],
-                    attention_entries=d["attention_entries"],
-                    proxy_entries=d["proxy_entries"],
-                    rows_recomputed=d["rows_recomputed"],
-                    elapsed_ns=d["elapsed_ns"],
-                    anchor_digest=d["anchor_digest"],
-                    masked_remaining=d["masked_remaining"],
-                ))
+                unknown = sorted(set(d) - known)
+                if unknown:
+                    raise ValueError(f"trace step has unknown keys: {unknown}")
+                d["committed"] = [tuple(c) for c in d["committed"]]
+                trace.steps.append(StepRecord(**d))
         return trace
 
 
@@ -370,13 +356,7 @@ def decode(
     )
     trace = DecodeTrace(
         engine=engine.name,
-        config={
-            "generation_length": config.generation_length,
-            "num_steps": config.num_steps,
-            "block_length": config.block_length,
-            "tokens_per_step": config.tokens_per_step,
-            "confidence_threshold": config.confidence_threshold,
-        },
+        config=asdict(config),
         logits_per_step=[] if collect_logits else None,
     )
 

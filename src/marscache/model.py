@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -270,33 +270,21 @@ _MAGIC = b"MCW1"
 def _tensor_table(weights: Weights) -> list[tuple[str, np.ndarray]]:
     table = [("embedding", weights.embedding)]
     for i, lw in enumerate(weights.layers):
-        for name in ("attn_norm", "wq", "wk", "wv", "wo", "ff_norm", "w1", "w2"):
-            table.append((f"layers.{i}.{name}", getattr(lw, name)))
+        for f in fields(LayerWeights):
+            table.append((f"layers.{i}.{f.name}", getattr(lw, f.name)))
     table.append(("final_norm", weights.final_norm))
     table.append(("head", weights.head))
     return table
 
 
 def save_weights(weights: Weights, path: str) -> None:
-    cfg = weights.config
     tensors = _tensor_table(weights)
     entries, offset = [], 0
     for name, arr in tensors:
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += arr.size
     header = json.dumps(
-        {
-            "config": {
-                "num_layers": cfg.num_layers,
-                "num_heads": cfg.num_heads,
-                "model_dim": cfg.model_dim,
-                "head_dim": cfg.head_dim,
-                "vocab_size": cfg.vocab_size,
-                "group_boundaries": list(cfg.group_boundaries),
-                "mask_mode": cfg.mask_mode,
-            },
-            "tensors": entries,
-        }
+        {"config": asdict(weights.config), "tensors": entries}
     ).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_MAGIC)
@@ -313,15 +301,7 @@ def load_weights(path: str) -> Weights:
         (hlen,) = struct.unpack("<I", f.read(4))
         header = json.loads(f.read(hlen).decode("utf-8"))
         blob = f.read()
-    cfg = ModelConfig(
-        num_layers=header["config"]["num_layers"],
-        num_heads=header["config"]["num_heads"],
-        model_dim=header["config"]["model_dim"],
-        head_dim=header["config"]["head_dim"],
-        vocab_size=header["config"]["vocab_size"],
-        group_boundaries=tuple(header["config"]["group_boundaries"]),
-        mask_mode=header["config"]["mask_mode"],
-    )
+    cfg = ModelConfig(**header["config"])
     data = np.frombuffer(blob, dtype="<f8")
     arrays = {}
     for ent in header["tensors"]:
@@ -332,8 +312,8 @@ def load_weights(path: str) -> Weights:
             .astype(np.float64)
         )
     layers = [
-        LayerWeights(**{n: arrays[f"layers.{i}.{n}"] for n in
-                        ("attn_norm", "wq", "wk", "wv", "wo", "ff_norm", "w1", "w2")})
+        LayerWeights(**{f.name: arrays[f"layers.{i}.{f.name}"]
+                        for f in fields(LayerWeights)})
         for i in range(cfg.num_layers)
     ]
     return Weights(

@@ -56,25 +56,31 @@ def merge_presets(names, overrides: dict | None = None) -> dict:
 
 
 def engine_params_from_dict(data: dict) -> EngineParams:
-    """Build EngineParams from a merged preset/override dict."""
+    """Build EngineParams from a merged preset/override dict. Every key but
+    engine_kind configures mars only; a key that does not apply to the kind
+    raises ValueError."""
     kind = data.get("engine_kind", "vanilla")
+    applies = PRESET_KEYS if kind == "mars" else {"engine_kind"}
+    stray = sorted(set(data) - applies)
+    if stray:
+        raise ValueError(f"keys {stray} do not apply to engine kind {kind!r}")
     if kind != "mars":
         return EngineParams(kind=kind)
-    schedule = None
+    options = {}
     if "tau_text" in data or "tau_visual" in data:
         tau_text = data.get("tau_text")
-        tau_visual = data.get("tau_visual", None)
+        tau_visual = data.get("tau_visual")
         if tau_text is None:
             raise ValueError("mars schedule requires tau_text")
         if tau_visual is None:
             tau_visual = tau_text
-        schedule = RefreshSchedule(
+        options["schedule"] = RefreshSchedule(
             tau_text=tuple(tau_text), tau_visual=tuple(tau_visual)
         )
-    return EngineParams(
-        kind="mars",
-        schedule=schedule,
-        anchor_budgets=tuple(data.get("anchor_budgets", ())),
-        chunk_enabled=bool(data.get("chunk_enabled", True)),
-        sample_size=int(data.get("sample_size", 32)),
-    )
+    if "anchor_budgets" in data:
+        options["anchor_budgets"] = tuple(data["anchor_budgets"])
+    if "chunk_enabled" in data:
+        options["chunk_enabled"] = bool(data["chunk_enabled"])
+    if "sample_size" in data:
+        options["sample_size"] = int(data["sample_size"])
+    return EngineParams(kind="mars", **options)

@@ -169,6 +169,52 @@ class TestAttentionCost:
         recorded = [s.attention_entries + s.proxy_entries for s in trace.steps]
         assert recorded == report.per_step_entries
 
+    @pytest.mark.parametrize("kind", ["vanilla", "dual_cache", "mars"])
+    def test_no_trace_counts_only_the_steps_decode_runs(self, kind):
+        # 4 tokens per step finish each 16-position block in 4 of its 8 steps.
+        lay = small_layout()
+        dc = DecodeConfig(32, 16, 16, tokens_per_step=4)
+        params = (
+            EngineParams(kind=kind) if kind != "mars"
+            else EngineParams(
+                kind="mars",
+                schedule=RefreshSchedule(tau_text=(8, 4, 2, 1),
+                                         tau_visual=(8, 8, 4, 2)),
+                anchor_budgets=("full", 2, 1, 0), sample_size=8,
+            )
+        )
+        w = init_weights(SMALL, 42)
+        wk = make_workload(lay, SMALL, 42)
+        eng = make_engine(params, w, lay, wk.visual_embeddings, wk.prompt_tokens)
+        _, trace = decode(eng, lay, dc)
+        report = attention_cost(params, SMALL, lay, dc)
+        assert len(report.per_step_entries) == len(trace.steps) == 8
+        assert report.per_step_entries == [
+            s.attention_entries + s.proxy_entries for s in trace.steps
+        ]
+
+    def test_no_trace_toy_totals_at_four_tokens_per_step(self):
+        dc = DecodeConfig(64, 32, 32, tokens_per_step=4)
+        cfg, lay = ModelConfig(), default_layout()
+        vanilla = attention_cost(EngineParams(kind="vanilla"), cfg, lay, dc)
+        dual = attention_cost(EngineParams(kind="dual_cache"), cfg, lay, dc)
+        assert len(vanilla.per_step_entries) == 16
+        assert vanilla.total_entries == 5_537_792
+        assert dual.total_entries == 1_437_696
+
+    def test_threshold_mode_needs_the_trace(self):
+        lay = small_layout()
+        dc = DecodeConfig(32, 16, 16, confidence_threshold=0.5)
+        params = EngineParams(kind="dual_cache")
+        with pytest.raises(ValueError, match="trace"):
+            attention_cost(params, SMALL, lay, dc)
+        w = init_weights(SMALL, 42)
+        wk = make_workload(lay, SMALL, 42)
+        eng = make_engine(params, w, lay, wk.visual_embeddings, wk.prompt_tokens)
+        _, trace = decode(eng, lay, dc)
+        report = attention_cost(params, SMALL, lay, dc, trace=trace)
+        assert len(report.per_step_entries) == len(trace.steps)
+
     def test_trace_mismatch_detected(self):
         lay = small_layout()
         dc = DecodeConfig(32, 16, 16, tokens_per_step=2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from marscache.cli import main
+from marscache.engines import EngineParams
 from marscache.presets import (
     available_presets,
     engine_params_from_dict,
@@ -62,6 +63,22 @@ class TestPresets:
     def test_override_wins(self):
         merged = merge_presets(["table10-pyramid"], {"sample_size": 16})
         assert merged["sample_size"] == 16
+
+    def test_keys_that_do_not_apply_to_the_kind_rejected(self):
+        with pytest.raises(ValueError, match=r"\['anchor_budgets', 'sample_size', "
+                           r"'tau_text'\] do not apply to engine kind 'dual_cache'"):
+            engine_params_from_dict({"engine_kind": "dual_cache", "tau_text": [1, 1],
+                                     "anchor_budgets": [9], "sample_size": -3})
+        with pytest.raises(ValueError, match="'vanilla'"):
+            engine_params_from_dict({"chunk_enabled": False})
+
+    def test_mars_defaults_come_from_engine_params(self):
+        params = engine_params_from_dict(
+            merge_presets(["table10-pyramid"], {"anchor_budgets": [1, 1, 1, 1]})
+        )
+        assert params == EngineParams(
+            kind="mars", schedule=params.schedule, anchor_budgets=(1, 1, 1, 1)
+        )
 
 
 class TestDecodeCommand:
@@ -125,6 +142,17 @@ class TestDecodeCommand:
         )
         assert main(["decode", "--config", cfg]) == 2
         assert "decode" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_engine_key_that_does_not_apply_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, output_dir=str(out), engine={
+            "kind": "dual_cache", "presets": ["table10-pyramid"], "sample_size": 0,
+        })
+        assert main(["decode", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: engine: ")
+        assert "do not apply to engine kind 'dual_cache'" in err
         assert not out.exists()
 
     def test_set_overrides(self, tmp_path):
@@ -195,6 +223,25 @@ class TestBenchCommand:
         assert [r["name"] for r in rows] == ["a", "b"]
         assert float(rows[0]["entry_ratio_vs_vanilla"]) < 1.0
 
+    def test_weights_and_inputs_built_once(self, tmp_path, monkeypatch):
+        import marscache.cli as cli
+
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for name in ("init_weights", "make_workload"):
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        # No vanilla row: the implicit vanilla reference shares them too.
+        cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"),
+                        engines=[{"kind": "dual_cache"}, {"kind": "dual_cache"}])
+        assert main(["bench", "--config", cfg]) == 0
+        assert calls == ["init_weights", "make_workload"]
+
 
 class TestAnalyzeCommand:
     def test_unknown_mode_lists_valid(self, tmp_path, capsys):
@@ -245,6 +292,18 @@ class TestAnalyzeCommand:
             rows = list(csv.DictReader(f))
         assert len(rows) == 16
         assert all(row["delta"] == "0" for row in rows)
+
+    def test_cost_rejects_trace_with_unknown_step_key(self, tmp_path, capsys):
+        decode_cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "run"),
+                               engine={"kind": "dual_cache"})
+        assert main(["decode", "--config", decode_cfg]) == 0
+        path = tmp_path / "run/trace.jsonl"
+        path.write_text(path.read_text().replace('"step": 1,', '"step": 1, "bogus": 0,'))
+        cost_cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"),
+                             engine={"kind": "dual_cache"},
+                             analyze={"trace": str(path)})
+        assert main(["analyze", "--config", cost_cfg, "--mode", "cost"]) == 2
+        assert "config error: analyze.trace: " in capsys.readouterr().err
 
     def test_drift_csv(self, tmp_path):
         cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))

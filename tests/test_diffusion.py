@@ -248,6 +248,59 @@ class TestDecode:
         assert [s.committed for s in loaded.steps] == [
             [(int(p), int(t)) for p, t in s.committed] for s in trace.steps
         ]
+        assert loaded.config == trace.config
+        assert loaded.steps == trace.steps
+        assert all(isinstance(c, tuple) for s in loaded.steps for c in s.committed)
+
+
+# Header and first step line of a mars trace written by the field-by-field
+# serializer that preceded the dataclass-driven one.
+V1_TRACE = (
+    '{"schema": "marscache-trace-v1", "engine": "mars", "config": '
+    '{"generation_length": 64, "num_steps": 32, "block_length": 32, '
+    '"tokens_per_step": 2, "confidence_threshold": null}}\n'
+    '{"step": 1, "block": 0, "committed": [[31, 69], [30, 69]], '
+    '"refreshed_visual": [0, 1, 2, 3], "refreshed_text": [0, 1, 2, 3], '
+    '"attention_entries": 346112, "proxy_entries": 16384, '
+    '"rows_recomputed": 1664, "elapsed_ns": 183094571, '
+    '"anchor_digest": "fec4367d54a384c8", "masked_remaining": 62}\n'
+)
+
+
+class TestTraceFormat:
+    def test_v1_trace_loads_field_for_field(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(V1_TRACE)
+        trace = DecodeTrace.from_jsonl(str(path))
+        assert trace.engine == "mars"
+        assert trace.config == {
+            "generation_length": 64, "num_steps": 32, "block_length": 32,
+            "tokens_per_step": 2, "confidence_threshold": None,
+        }
+        assert trace.steps == [StepRecord(
+            step=1, block=0, committed=[(31, 69), (30, 69)],
+            refreshed_visual=[0, 1, 2, 3], refreshed_text=[0, 1, 2, 3],
+            attention_entries=346112, proxy_entries=16384,
+            rows_recomputed=1664, elapsed_ns=183094571,
+            anchor_digest="fec4367d54a384c8", masked_remaining=62,
+        )]
+        # Written back, the trace is the same bytes.
+        out = tmp_path / "again.jsonl"
+        trace.to_jsonl(str(out))
+        assert out.read_text() == V1_TRACE
+
+    def test_missing_defaulted_field_loads_with_default(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(V1_TRACE.replace(', "anchor_digest": "fec4367d54a384c8"', ""))
+        (step,) = DecodeTrace.from_jsonl(str(path)).steps
+        assert step.anchor_digest is None
+        assert step.masked_remaining == 62
+
+    def test_unknown_step_key_rejected(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(V1_TRACE.replace('"step": 1,', '"step": 1, "phase_ns": {},'))
+        with pytest.raises(ValueError, match="phase_ns"):
+            DecodeTrace.from_jsonl(str(path))
 
 
 class TestDecodeConfigValidation:

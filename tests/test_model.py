@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -194,6 +197,22 @@ class TestSerialization:
         la, _ = forward(w, emb, pos)
         lb, _ = forward(loaded, emb, pos)
         assert np.array_equal(la, lb)
+
+    def test_header_lists_config_and_tensors_in_field_order(self, tmp_path):
+        path = tmp_path / "weights.bin"
+        save_weights(init_weights(SMALL, 23), str(path))
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8 : 8 + hlen])
+        assert list(header["config"].items()) == [
+            ("num_layers", 2), ("num_heads", 2), ("model_dim", 32),
+            ("head_dim", 16), ("vocab_size", 64), ("group_boundaries", [0, 1]),
+            ("mask_mode", "bidirectional"),
+        ]
+        assert [t["name"] for t in header["tensors"][1:9]] == [
+            f"layers.0.{n}"
+            for n in ("attn_norm", "wq", "wk", "wv", "wo", "ff_norm", "w1", "w2")
+        ]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
