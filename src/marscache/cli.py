@@ -362,6 +362,9 @@ def cmd_analyze(cfg: dict, mode: str) -> int:
             trace = DecodeTrace.from_jsonl(trace_path)
         except ValueError as e:
             raise ConfigError(f"analyze.trace: {e}") from e
+        if trace.engine != params.kind:
+            raise ConfigError(f"analyze.trace: trace engine {trace.engine!r} "
+                              f"is not the configured {params.kind!r}")
     else:
         engine = make_engine(
             params, weights, layout, wk.visual_embeddings, wk.prompt_tokens

@@ -97,8 +97,10 @@ def softmax_rows(scores: Matrix, additive_mask: Matrix | None = None) -> Matrix:
         raise FullyMaskedRowError(
             f"fully masked row(s) at indices {np.flatnonzero(dead.ravel()).tolist()}"
         )
-    z = np.exp(s - row_max)
-    return z / np.sum(z, axis=-1, keepdims=True)
+    z = s - row_max
+    np.exp(z, out=z)
+    z /= np.sum(z, axis=-1, keepdims=True)
+    return z
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -310,9 +310,12 @@ class DecodeTrace:
 
     @classmethod
     def from_jsonl(cls, path: str) -> "DecodeTrace":
-        """Load a trace written by to_jsonl; a step key that StepRecord lacks
-        raises ValueError."""
+        """Load a trace written by to_jsonl; a step line with a key that
+        StepRecord lacks, or without one of its required keys, raises
+        ValueError."""
         known = {f.name for f in fields(StepRecord)}
+        required = {f.name for f in fields(StepRecord)
+                    if f.default is MISSING and f.default_factory is MISSING}
         with open(path) as f:
             head = json.loads(f.readline())
             if head.get("schema") != cls.SCHEMA:
@@ -323,6 +326,9 @@ class DecodeTrace:
                 unknown = sorted(set(d) - known)
                 if unknown:
                     raise ValueError(f"trace step has unknown keys: {unknown}")
+                missing = sorted(required - set(d))
+                if missing:
+                    raise ValueError(f"trace step lacks required keys: {missing}")
                 d["committed"] = [tuple(c) for c in d["committed"]]
                 trace.steps.append(StepRecord(**d))
         return trace

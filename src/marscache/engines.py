@@ -11,12 +11,12 @@ chunked anchor mask:
   and afterwards refreshes (group, modality) context whenever t is a multiple
   of its interval.
 
-A full plan runs the model's forward pass and rewrites every per-layer
-key/value cache and group-boundary state. Any other plan runs one
-shallow-to-deep sweep in which the set of live (recomputed) rows grows
-monotonically with depth; everything not live is served from the caches.
-`plan_cost` turns a plan into the step's record (score entries, recomputed
-rows, refreshed groups); the analytic cost model reads the same plans."""
+Every plan runs the same shallow-to-deep sweep, in which the set of live
+(recomputed) rows grows monotonically with depth; everything not live is
+served from the per-layer key/value caches and group-boundary states. A full
+refresh is the plan whose rows are all live from group 0. `plan_cost` turns
+a plan into the step's record (score entries, recomputed rows, refreshed
+groups); the analytic cost model reads the same plans."""
 
 from __future__ import annotations
 
@@ -42,7 +42,6 @@ from .model import (
     ModelConfig,
     Weights,
     apply_rotary,
-    forward,
     gelu,
     multi_head_attention,
     rms_norm,
@@ -102,11 +101,11 @@ def validate_params(
 class StepPlan:
     """One step's refresh decision. Active-block rows are always recomputed;
     visual and text-context rows join the sweep at their entry group and stay
-    live through every deeper group (None: served from the caches)."""
+    live through every deeper group (None: served from the caches). The full
+    refresh, which rewrites every cache, is StepPlan(0, 0)."""
 
     entry_visual: int | None
     entry_text: int | None
-    full: bool = False  # forward pass over everything; every cache rewritten
     chunked: bool = False  # refreshed visual rows attend under the anchor mask
     build_anchors: bool = False  # fix the anchor plan from this step
 
@@ -116,7 +115,7 @@ def step_plan(params: EngineParams, t: int, block_start: bool) -> StepPlan:
     block_start tells whether t is the first step of its block."""
     kind = params.kind
     if t == 1 or kind == "vanilla" or (kind == "dual_cache" and block_start):
-        return StepPlan(0, 0, full=True, build_anchors=kind == "mars")
+        return StepPlan(0, 0, build_anchors=kind == "mars")
     if kind == "dual_cache":
         return StepPlan(None, None)
     # The due groups form a depth suffix, so the shallowest one is the entry.
@@ -210,22 +209,21 @@ class EngineSession:
         self.visual_masks: list[np.ndarray] = []
         self.visual_mask_counts: list[int] = []
 
-    def _embeddings(self, state: DiffusionState):
-        return assemble_embeddings(
-            self.weights,
-            self.layout,
-            self.visual_embeddings,
-            self.prompt_tokens,
-            state.token_ids,
-        )
-
     def step(self, t: int, state: DiffusionState):
         """Run step t's plan; returns (active-block logits, StepRecord)."""
         plan = step_plan(self.params, t, state.active_block != self.cached_block)
-        if not plan.full and self.cached_block is None:
+        # Only an unchunked plan live from group 0 rewrites every cache.
+        rewrites_all = (plan.entry_visual, plan.entry_text, plan.chunked) == (0, 0, False)
+        if self.cached_block is None and not rewrites_all:
             raise RuntimeError("engine stepped at t > 1 without initialization")
         self.cached_block = state.active_block
-        logits = self._full_refresh(state, plan) if plan.full else self._sweep(state, plan)
+        emb = assemble_embeddings(
+            self.weights, self.layout, self.visual_embeddings,
+            self.prompt_tokens, state.token_ids,
+        )
+        logits = self._sweep(emb, state.active_block, plan)
+        if plan.build_anchors:
+            self._build_anchor_plan(emb)
         record = plan_cost(
             plan, self.params, self.weights.config, self.layout, t,
             state.active_block, self.visual_mask_counts,
@@ -234,27 +232,10 @@ class EngineSession:
             record.anchor_digest = self.plan.digest()
         return logits, record
 
-    def _full_refresh(self, state: DiffusionState, plan: StepPlan):
-        """Full forward; repopulate every per-layer K/V and boundary cache."""
-        cfg = self.weights.config
-        logits, acts = forward(
-            self.weights, self._embeddings(state), self.layout.position_ids
-        )
-        for l in range(cfg.num_layers):
-            self.cache_k[l][:] = acts.keys[l]
-            self.cache_v[l][:] = acts.values[l]
-        for g in range(1, cfg.num_groups):
-            self.group_inputs[g][:] = acts.hidden[cfg.group_boundaries[g]]
-        self.hidden[:] = acts.hidden[-1]
-        if plan.build_anchors:
-            self._build_anchor_plan(acts)
-        span = self.layout.block_span(state.active_block)
-        return logits[span.start : span.stop]
-
-    def _build_anchor_plan(self, acts) -> None:
-        """Proxy-score each group's first layer from the step-1 activations
-        and cache the per-group anchor sets plus their additive visibility
-        masks and visible-key counts."""
+    def _build_anchor_plan(self, emb) -> None:
+        """Proxy-score each group's first layer from the states a full sweep
+        just cached and cache the per-group anchor sets plus their additive
+        visibility masks and visible-key counts."""
         cfg = self.weights.config
         lay = self.layout
         sample_idx = equidistant_indices(lay.total_length, self.params.sample_size)
@@ -263,11 +244,11 @@ class EngineSession:
         for g in range(cfg.num_groups):
             l0 = cfg.group_boundaries[g]
             lw = self.weights.layers[l0]
-            xn = rms_norm(acts.hidden[l0], lw.attn_norm)
+            xn = rms_norm(emb if g == 0 else self.group_inputs[g], lw.attn_norm)
             q = apply_rotary(
                 split_heads(xn @ lw.wq, cfg.num_heads), self.cos, self.sin
             )
-            k = acts.keys[l0]
+            k = self.cache_k[l0]
             per_head = [
                 proxy_scores(q[head], k[head], sample_idx, vis_idx)
                 for head in range(cfg.num_heads)
@@ -284,19 +265,18 @@ class EngineSession:
             self.visual_masks.append(visibility_to_additive(vis))
             self.visual_mask_counts.append(int(vis.sum()))
 
-    def _sweep(self, state: DiffusionState, plan: StepPlan):
+    def _sweep(self, emb, block: int, plan: StepPlan):
         """One shallow-to-deep pass recomputing the live rows of each group.
 
         Active-block rows are live from layer 0; visual / text-context rows
-        join at their plan's entry group with inputs taken from the cached
-        boundary states, and stay live through all deeper groups. Fresh
-        keys/values overwrite the caches as they are produced, so rows
-        recomputed in the same step see each other coherently. Returns the
-        active-block logits."""
+        join at their plan's entry group with inputs taken from the
+        embeddings (group 0) or the cached boundary states, and stay live
+        through all deeper groups. Fresh keys/values overwrite the caches as
+        they are produced, so rows recomputed in the same step see each other
+        coherently. Returns the active-block logits."""
         cfg = self.weights.config
         lay = self.layout
-        emb = self._embeddings(state)
-        span = lay.block_span(state.active_block)
+        span = lay.block_span(block)
         active = np.arange(span.start, span.stop)
         vis_rows = np.arange(lay.visual_length)
         # Prompt plus every response position outside the active block.
@@ -315,12 +295,7 @@ class EngineSession:
                     live = np.union1d(live, rows)
 
             chunked = plan.chunked and g >= plan.entry_visual
-            if chunked:
-                vis_sel = live < lay.visual_length
-                full_sel = ~vis_sel
-            else:
-                full_sel = np.ones(live.size, dtype=bool)
-            n_full = int(np.sum(full_sel))
+            vis_sel = live < lay.visual_length
 
             cos, sin = self.cos[live], self.sin[live]
             for l in cfg.group_layers(g):
@@ -333,16 +308,17 @@ class EngineSession:
                 self.cache_k[l][:, live, :] = k
                 self.cache_v[l][:, live, :] = v
 
-                attn = np.empty((live.size, cfg.model_dim))
-                if n_full:
-                    attn[full_sel] = multi_head_attention(
-                        q[:, full_sel, :], self.cache_k[l], self.cache_v[l],
-                        None, cfg.head_dim,
-                    )
-                if chunked:
-                    attn[vis_sel] = multi_head_attention(
-                        q[:, vis_sel, :], self.cache_k[l], self.cache_v[l],
-                        self.visual_masks[g], cfg.head_dim,
+                if chunked:  # only visual rows attend under the anchor mask
+                    attn = np.empty((live.size, cfg.model_dim))
+                    for sel, mask in ((~vis_sel, None), (vis_sel, self.visual_masks[g])):
+                        if sel.any():
+                            attn[sel] = multi_head_attention(
+                                q[:, sel, :], self.cache_k[l], self.cache_v[l],
+                                mask, cfg.head_dim,
+                            )
+                else:
+                    attn = multi_head_attention(
+                        q, self.cache_k[l], self.cache_v[l], None, cfg.head_dim
                     )
                 x = x + attn @ lw.wo
                 x = x + gelu(rms_norm(x, lw.ff_norm) @ lw.w1) @ lw.w2

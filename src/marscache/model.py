@@ -148,7 +148,15 @@ def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    # One temporary, in place: the array leads the product so NumPy reuses it,
+    # and halving last gives the bits of 0.5 * x * t (scaling by 0.5 is exact)
+    # unless x * t overflows or the result is subnormal.
+    t = (x + 0.044715 * x**3) * np.sqrt(2.0 / np.pi)
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= x
+    t *= 0.5
+    return t
 
 
 def rotary_phases(position_ids: np.ndarray, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -188,11 +196,14 @@ def multi_head_attention(
 ) -> np.ndarray:
     """Batched per-head attention. q: (H, Tq, d_k); k, v: (H, Tk, d_k).
     mask, if given, is (Tq, Tk) and shared across heads. Returns (Tq, H*d_k)."""
-    scores = np.matmul(q, k.transpose(0, 2, 1)) / np.sqrt(d_k)
+    scores = np.matmul(q, k.transpose(0, 2, 1))
+    scores /= np.sqrt(d_k)
     h, tq, tk = scores.shape
-    flat = scores.reshape(h * tq, tk)
-    flat_mask = None if mask is None else np.tile(mask, (h, 1))
-    probs = softmax_rows(flat, flat_mask).reshape(h, tq, tk)
+    if mask is not None:
+        if mask.shape != (tq, tk):
+            raise ValueError(f"mask shape {mask.shape} != ({tq}, {tk})")
+        scores += mask
+    probs = softmax_rows(scores.reshape(h * tq, tk)).reshape(h, tq, tk)
     if capture is not None:
         capture.append(probs)
     return merge_heads(np.matmul(probs, v))

@@ -305,6 +305,32 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--config", cost_cfg, "--mode", "cost"]) == 2
         assert "config error: analyze.trace: " in capsys.readouterr().err
 
+    def test_cost_rejects_trace_without_required_step_key(self, tmp_path, capsys):
+        decode_cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "run"),
+                               engine={"kind": "dual_cache"})
+        assert main(["decode", "--config", decode_cfg]) == 0
+        path = tmp_path / "run/trace.jsonl"
+        path.write_text(path.read_text().replace('"step": 1, ', ""))
+        cost_cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"),
+                             engine={"kind": "dual_cache"},
+                             analyze={"trace": str(path)})
+        assert main(["analyze", "--config", cost_cfg, "--mode", "cost"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: analyze.trace: " in err and "'step'" in err
+
+    def test_cost_rejects_trace_of_another_engine(self, tmp_path, capsys):
+        decode_cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "run"),
+                               engine={"kind": "dual_cache"})
+        assert main(["decode", "--config", decode_cfg]) == 0
+        cost_cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"),
+                             engine={"kind": "vanilla"},
+                             analyze={"trace": str(tmp_path / "run/trace.jsonl")})
+        assert main(["analyze", "--config", cost_cfg, "--mode", "cost"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: analyze.trace: " in err
+        assert "'dual_cache'" in err and "'vanilla'" in err
+        assert not (tmp_path / "out/cost.csv").exists()
+
     def test_drift_csv(self, tmp_path):
         cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))
         assert main(["analyze", "--config", cfg, "--mode", "drift"]) == 0

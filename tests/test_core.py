@@ -80,6 +80,15 @@ class TestSoftmaxRows:
         with pytest.raises(FullyMaskedRowError, match="fully masked row"):
             softmax_rows(np.zeros((2, 3)), np.full((2, 3), NEG_INF))
 
+    def test_input_left_unchanged(self):
+        scores = seeded_stream(4, "scores").normal(size=(3, 5))
+        mask = np.zeros((3, 5))
+        mask[:, 0] = NEG_INF
+        before = scores.copy()
+        softmax_rows(scores)
+        softmax_rows(scores, mask)
+        assert np.array_equal(scores, before)
+
     def test_zero_mask_is_identity(self):
         scores = seeded_stream(3, "scores").normal(size=(4, 4))
         assert np.array_equal(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,15 @@ class TestTraceFormat:
         path = tmp_path / "trace.jsonl"
         path.write_text(V1_TRACE.replace('"step": 1,', '"step": 1, "phase_ns": {},'))
         with pytest.raises(ValueError, match="phase_ns"):
+            DecodeTrace.from_jsonl(str(path))
+
+    @pytest.mark.parametrize("key", ["step", "block", "committed"])
+    def test_missing_required_step_key_rejected(self, tmp_path, key):
+        line = json.loads(V1_TRACE.splitlines()[1])
+        del line[key]
+        path = tmp_path / "trace.jsonl"
+        path.write_text(V1_TRACE.splitlines()[0] + "\n" + json.dumps(line) + "\n")
+        with pytest.raises(ValueError, match=f"lacks required keys: \\['{key}'\\]"):
             DecodeTrace.from_jsonl(str(path))
 
 

@@ -1,0 +1,153 @@
+"""Full refreshes run the cached sweep like every other plan. These tests
+check them against the model's plain forward pass, which the sweep does not
+use: a vanilla decode step by step, and the anchor plan mars fixes at step 1
+against proxies scored from forward's activations."""
+
+import numpy as np
+import pytest
+
+from marscache import (
+    DecodeConfig,
+    EngineParams,
+    ModelConfig,
+    RefreshSchedule,
+    decode,
+    default_layout,
+    forward,
+    init_weights,
+    make_engine,
+    make_workload,
+    proxy_scores,
+    select_anchors,
+)
+from marscache.diffusion import assemble_embeddings
+from marscache.mars import equidistant_indices
+from marscache.model import apply_rotary, rms_norm, rotary_phases, split_heads
+
+SEED = 42
+
+
+def toy_case():
+    model = ModelConfig(
+        num_layers=4, num_heads=2, model_dim=32, head_dim=16, vocab_size=64,
+        group_boundaries=(0, 1, 2, 3),
+    )
+    layout = default_layout(vocab_size=model.vocab_size)
+    return model, layout, DecodeConfig(64, 16, 32, tokens_per_step=4)
+
+
+def uneven_case():
+    model = ModelConfig(
+        num_layers=4, num_heads=2, model_dim=32, head_dim=16, vocab_size=64,
+        group_boundaries=(0, 1, 3),
+    )
+    layout = default_layout(4, 8, 8, 32, 16, vocab_size=model.vocab_size)
+    return model, layout, DecodeConfig(32, 8, 16, tokens_per_step=4)
+
+
+CASES = {"toy": toy_case, "uneven-groups": uneven_case}
+
+
+def setup(case):
+    model, layout, dc = CASES[case]()
+    weights = init_weights(model, SEED)
+    work = make_workload(layout, model, SEED)
+    return weights, layout, dc, work
+
+
+def forward_of(weights, layout, work, state):
+    emb = assemble_embeddings(
+        weights, layout, work.visual_embeddings, work.prompt_tokens, state.token_ids
+    )
+    return forward(weights, emb, layout.position_ids)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_vanilla_steps_equal_forward(case):
+    weights, layout, dc, work = setup(case)
+    cfg = weights.config
+    session = make_engine(
+        EngineParams(kind="vanilla"), weights, layout,
+        work.visual_embeddings, work.prompt_tokens,
+    )
+    checked = []
+
+    class Checked:
+        name = session.name
+
+        def step(self, t, state):
+            logits, record = session.step(t, state)
+            ref_logits, acts = forward_of(weights, layout, work, state)
+            span = layout.block_span(state.active_block)
+            assert np.array_equal(logits, ref_logits[span.start : span.stop])
+            for l in range(cfg.num_layers):
+                assert np.array_equal(session.cache_k[l], acts.keys[l])
+                assert np.array_equal(session.cache_v[l], acts.values[l])
+            for g in range(1, cfg.num_groups):
+                assert np.array_equal(
+                    session.group_inputs[g], acts.hidden[cfg.group_boundaries[g]]
+                )
+            assert np.array_equal(session.hidden, acts.hidden[-1])
+            checked.append(t)
+            return logits, record
+
+    _, trace = decode(Checked(), layout, dc)
+    assert checked == [s.step for s in trace.steps] and len(checked) > 2
+
+
+def anchors_from_forward(weights, layout, work, state, params):
+    """The anchor plan as step 1 built it from forward's activations: proxy
+    scores of each group's first layer, averaged over heads."""
+    cfg = weights.config
+    _, acts = forward_of(weights, layout, work, state)
+    cos, sin = rotary_phases(layout.position_ids, cfg.head_dim)
+    sample_idx = equidistant_indices(layout.total_length, params.sample_size)
+    vis_idx = np.arange(layout.visual_length)
+    proxies = []
+    for g in range(cfg.num_groups):
+        l0 = cfg.group_boundaries[g]
+        lw = weights.layers[l0]
+        xn = rms_norm(acts.hidden[l0], lw.attn_norm)
+        q = apply_rotary(split_heads(xn @ lw.wq, cfg.num_heads), cos, sin)
+        k = acts.keys[l0]
+        per_head = [
+            proxy_scores(q[h], k[h], sample_idx, vis_idx) for h in range(cfg.num_heads)
+        ]
+        proxies.append(np.mean(per_head, axis=0))
+    return select_anchors(
+        proxies, layout, params.anchor_budgets, sample_indices=sample_idx
+    )
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_mars_step_one_anchors_equal_forward_proxies(case):
+    weights, layout, dc, work = setup(case)
+    groups = weights.config.num_groups
+    # No group sees every patch, so each group's proxies pick its anchors.
+    params = EngineParams(
+        kind="mars",
+        schedule=RefreshSchedule.uniform_modality(
+            tuple(2 ** (groups - 1 - g) for g in range(groups))
+        ),
+        anchor_budgets=(4,) + (2,) * (groups - 1),
+        sample_size=8,
+    )
+    session = make_engine(
+        params, weights, layout, work.visual_embeddings, work.prompt_tokens
+    )
+    expected = []
+
+    class Checked:
+        name = session.name
+
+        def step(self, t, state):
+            if t == 1:
+                expected.append(
+                    anchors_from_forward(weights, layout, work, state, params)
+                )
+            return session.step(t, state)
+
+    _, trace = decode(Checked(), layout, dc)
+    digest = expected[0].digest()
+    assert session.plan == expected[0]
+    assert [s.anchor_digest for s in trace.steps] == [digest] * len(trace.steps)

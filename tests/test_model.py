@@ -4,16 +4,19 @@ import struct
 import numpy as np
 import pytest
 
-from marscache.core import NEG_INF, seeded_stream
+from marscache.core import NEG_INF, FullyMaskedRowError, seeded_stream
 from marscache.model import (
     ModelConfig,
     attention,
     build_causal_mask,
     forward,
+    gelu,
     init_weights,
     load_weights,
+    multi_head_attention,
     save_weights,
 )
+from reference import ref_gelu
 
 TOY = ModelConfig()  # 8 layers / 4 groups, 4 heads, dim 128, d_k 32, vocab 256
 SMALL = ModelConfig(
@@ -78,6 +81,52 @@ class TestAttention:
         s = seeded_stream(6, "qkv")
         q, k, v = (s.normal(size=(4, 4)) for _ in range(3))
         assert np.array_equal(attention(q, k, v), attention(q, k, v, np.zeros((4, 4))))
+
+
+class TestMultiHeadAttention:
+    @staticmethod
+    def qkv(tq=3, tk=5):
+        s = seeded_stream(8, "mha")
+        return s.normal(size=(2, tq, 4)), s.normal(size=(2, tk, 4)), s.normal(size=(2, tk, 4))
+
+    def test_mask_shared_across_heads(self):
+        q, k, v = self.qkv()
+        mask = np.zeros((3, 5))
+        mask[0, 1:] = NEG_INF
+        mask[2, :2] = NEG_INF
+        before = [a.copy() for a in (q, k, v, mask)]
+        out = multi_head_attention(q, k, v, mask, 4)
+        for h in range(2):
+            expect = attention(q[h], k[h], v[h], mask)
+            assert np.allclose(out[:, 4 * h : 4 * (h + 1)], expect, rtol=0, atol=1e-14)
+        for a, b in zip((q, k, v, mask), before):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 3), (6, 5), (2, 3, 5)])
+    def test_mask_must_be_tq_by_tk(self, shape):
+        q, k, v = self.qkv()
+        with pytest.raises(ValueError, match="mask shape"):
+            multi_head_attention(q, k, v, np.zeros(shape), 4)
+
+    def test_fully_masked_row_raises(self):
+        q, k, v = self.qkv()
+        mask = np.zeros((3, 5))
+        mask[1] = NEG_INF
+        with pytest.raises(FullyMaskedRowError, match="fully masked row"):
+            multi_head_attention(q, k, v, mask, 4)
+
+
+def test_gelu_matches_reference_formula_bitwise():
+    # Large enough (256 KiB) for NumPy to reuse temporaries in place.
+    x = seeded_stream(9, "gelu").normal(size=(64, 512), std=3.0)
+    before = x.copy()
+    assert np.array_equal(gelu(x), ref_gelu(x))
+    assert np.array_equal(x, before)
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-9, -20.0, 40.0, 1e300, -1e300])
+    with np.errstate(over="ignore"):  # x**3 overflows for the outer pair
+        got, expect = gelu(edges), ref_gelu(edges)
+    assert np.array_equal(got, expect)
+    assert np.array_equal(np.signbit(got), np.signbit(expect))
 
 
 class TestInitWeights:
