@@ -150,12 +150,10 @@ def attention_entropy(probs_per_layer: list[np.ndarray]) -> list[float]:
     return out
 
 
-def entropy_profile(
-    weights: Weights, embeddings, position_ids, mask=None
-) -> list[float]:
+def entropy_profile(weights: Weights, embeddings, position_ids) -> list[float]:
     """One forward pass with attention capture, reduced to per-layer mean
     entropy. Reporting only; random init carries no directional claim."""
-    _, acts = forward(weights, embeddings, position_ids, mask, capture_attention=True)
+    _, acts = forward(weights, embeddings, position_ids, capture_attention=True)
     return attention_entropy(acts.attention_probs)
 
 

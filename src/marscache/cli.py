@@ -23,7 +23,7 @@ from .analysis import (
     write_csv,
 )
 from .diffusion import DecodeConfig, DecodeTrace, SequenceLayout, assemble_embeddings, decode
-from .engines import EngineParams, make_engine
+from .engines import EngineParams, make_engine, validate_params
 from .model import ModelConfig, forward, init_weights
 from .presets import engine_params_from_dict, merge_presets
 from .workload import make_high_norm_embeddings, make_workload
@@ -180,10 +180,14 @@ def _run_engines(cfg: dict, engine_cfgs: list[dict]) -> list:
 
 def _validate(cfg: dict, engine_cfg: dict) -> None:
     """Raise ConfigError before any artifact is written."""
-    build_model_config(cfg)
-    build_layout(cfg)
+    model_cfg = build_model_config(cfg)
+    layout = build_layout(cfg)
     build_decode_config(cfg)
-    build_engine_params(engine_cfg)
+    params = build_engine_params(engine_cfg)
+    try:
+        validate_params(params, model_cfg, layout)
+    except ValueError as e:
+        raise ConfigError(f"engine: {e}") from e
 
 
 def cmd_decode(cfg: dict) -> int:
@@ -360,17 +364,18 @@ def cmd_analyze(cfg: dict, mode: str) -> int:
     if trace_path:
         try:
             trace = DecodeTrace.from_jsonl(trace_path)
+            if trace.engine != params.kind:
+                raise ValueError(f"trace engine {trace.engine!r} "
+                                 f"is not the configured {params.kind!r}")
+            report = attention_cost(params, model_cfg, layout, decode_cfg, trace=trace)
         except ValueError as e:
             raise ConfigError(f"analyze.trace: {e}") from e
-        if trace.engine != params.kind:
-            raise ConfigError(f"analyze.trace: trace engine {trace.engine!r} "
-                              f"is not the configured {params.kind!r}")
     else:
         engine = make_engine(
             params, weights, layout, wk.visual_embeddings, wk.prompt_tokens
         )
         _, trace = decode(engine, layout, decode_cfg)
-    report = attention_cost(params, model_cfg, layout, decode_cfg, trace=trace)
+        report = attention_cost(params, model_cfg, layout, decode_cfg, trace=trace)
     rows = [
         [rec.step, rec.block, rec.attention_entries + rec.proxy_entries,
          analytic, (rec.attention_entries + rec.proxy_entries) - analytic]

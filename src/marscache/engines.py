@@ -42,11 +42,10 @@ from .model import (
     ModelConfig,
     Weights,
     apply_rotary,
-    gelu,
-    multi_head_attention,
     rms_norm,
     rotary_phases,
     split_heads,
+    transformer_layer,
 )
 
 ENGINE_KINDS = ("vanilla", "dual_cache", "mars")
@@ -79,6 +78,9 @@ def validate_params(
 ) -> tuple[int, ...]:
     """Check a configuration against the model and layout before any step
     runs; returns the resolved per-group anchor budgets (empty unless mars)."""
+    if model_config.mask_mode != "bidirectional":
+        raise ValueError("block caching needs a bidirectional model, not "
+                         f"mask_mode {model_config.mask_mode!r}")
     if params.kind != "mars":
         return ()
     groups = model_config.num_groups
@@ -294,37 +296,18 @@ class EngineSession:
                     h[rows] = emb[rows] if g == 0 else self.group_inputs[g][rows]
                     live = np.union1d(live, rows)
 
-            chunked = plan.chunked and g >= plan.entry_visual
-            vis_sel = live < lay.visual_length
-
             cos, sin = self.cos[live], self.sin[live]
+            masks = [(None, None)]
+            if plan.chunked and g >= plan.entry_visual:  # visual rows use the anchor mask
+                vis_sel = live < lay.visual_length
+                masks = [(~vis_sel, None), (vis_sel, self.visual_masks[g])]
+            x = h[live]
             for l in cfg.group_layers(g):
-                lw = self.weights.layers[l]
-                x = h[live]
-                xn = rms_norm(x, lw.attn_norm)
-                q = apply_rotary(split_heads(xn @ lw.wq, cfg.num_heads), cos, sin)
-                k = apply_rotary(split_heads(xn @ lw.wk, cfg.num_heads), cos, sin)
-                v = split_heads(xn @ lw.wv, cfg.num_heads)
-                self.cache_k[l][:, live, :] = k
-                self.cache_v[l][:, live, :] = v
-
-                if chunked:  # only visual rows attend under the anchor mask
-                    attn = np.empty((live.size, cfg.model_dim))
-                    for sel, mask in ((~vis_sel, None), (vis_sel, self.visual_masks[g])):
-                        if sel.any():
-                            attn[sel] = multi_head_attention(
-                                q[:, sel, :], self.cache_k[l], self.cache_v[l],
-                                mask, cfg.head_dim,
-                            )
-                else:
-                    attn = multi_head_attention(
-                        q, self.cache_k[l], self.cache_v[l], None, cfg.head_dim
-                    )
-                x = x + attn @ lw.wo
-                x = x + gelu(rms_norm(x, lw.ff_norm) @ lw.w1) @ lw.w2
-                h[live] = x
+                transformer_layer(self.weights.layers[l], x, cos, sin,
+                                  self.cache_k[l], self.cache_v[l], live, masks)
+            h[live] = x
             if g + 1 < cfg.num_groups:
-                self.group_inputs[g + 1][live] = h[live]
+                self.group_inputs[g + 1][live] = x
 
         return rms_norm(h[active], self.weights.final_norm) @ self.weights.head
 

@@ -1,8 +1,8 @@
 """A small deterministic transformer with switchable causal/bidirectional
 attention. Pre-norm residual blocks, RMS normalization, 4x feed-forward,
 rotary positions keyed to explicit position ids (so rows can be physically
-reordered while keeping their positional identity). Per-layer hidden states
-and key/value projections are exposed for the caching engines.
+reordered while keeping their positional identity). `transformer_layer` is
+the one block that both `forward` and the caching engines' sweep run.
 """
 
 from __future__ import annotations
@@ -223,18 +223,40 @@ class LayerActivations:
     attention_probs: list[np.ndarray] | None = None
 
 
+def transformer_layer(lw: LayerWeights, x: Matrix, cos, sin, keys, values, rows,
+                      masks: list, capture: list | None = None) -> Matrix:
+    """One pre-norm block over the rows x, (R, D), at rotary phases cos, sin.
+    Writes their keys and values at sequence rows `rows` of the layer's
+    (H, T, d_k) buffers and attends over the whole buffers; masks pairs
+    query-row selectors with additive masks, [(None, mask)] covering every
+    row. Updates x in place and returns it."""
+    num_heads, _, d_k = keys.shape
+    xn = rms_norm(x, lw.attn_norm)
+    q = apply_rotary(split_heads(xn @ lw.wq, num_heads), cos, sin)
+    keys[:, rows, :] = apply_rotary(split_heads(xn @ lw.wk, num_heads), cos, sin)
+    values[:, rows, :] = split_heads(xn @ lw.wv, num_heads)
+    if masks[0][0] is None:
+        attn = multi_head_attention(q, keys, values, masks[0][1], d_k, capture)
+    else:
+        attn = np.empty((x.shape[0], num_heads * d_k))
+        for sel, mask in masks:
+            attn[sel] = multi_head_attention(q[:, sel, :], keys, values, mask, d_k, capture)
+    x += attn @ lw.wo
+    x += gelu(rms_norm(x, lw.ff_norm) @ lw.w1) @ lw.w2
+    return x
+
+
 def forward(
     weights: Weights,
     embeddings: Matrix,
     position_ids,
-    mask: Matrix | None = None,
     capture_attention: bool = False,
 ) -> tuple[Matrix, LayerActivations]:
     """Full forward pass: returns (logits over vocab, per-layer activations).
 
     Positions enter only through rotary phases on Q and K, so rows may be
-    permuted as long as position_ids are permuted with them. If mask is None,
-    a causal mask is built for mask_mode "causal"; bidirectional runs unmasked.
+    permuted as long as position_ids are permuted with them. mask_mode
+    "causal" masks each row's later positions; bidirectional runs unmasked.
     """
     cfg = weights.config
     position_ids = np.asarray(position_ids)
@@ -246,26 +268,17 @@ def forward(
     if embeddings.shape[1] != cfg.model_dim:
         raise ValueError(f"embedding width {embeddings.shape[1]} != {cfg.model_dim}")
     t = embeddings.shape[0]
-    if mask is None and cfg.mask_mode == "causal":
-        mask = build_causal_mask(t)
-    if mask is not None and mask.shape != (t, t):
-        raise ValueError(f"mask shape {mask.shape} != ({t}, {t})")
+    mask = build_causal_mask(t) if cfg.mask_mode == "causal" else None
 
     cos, sin = rotary_phases(position_ids, cfg.head_dim)
     acts = LayerActivations(attention_probs=[] if capture_attention else None)
     h = embeddings.astype(np.float64, copy=True)
     for lw in weights.layers:
         acts.hidden.append(h.copy())
-        x = rms_norm(h, lw.attn_norm)
-        q = apply_rotary(split_heads(x @ lw.wq, cfg.num_heads), cos, sin)
-        k = apply_rotary(split_heads(x @ lw.wk, cfg.num_heads), cos, sin)
-        v = split_heads(x @ lw.wv, cfg.num_heads)
-        acts.keys.append(k)
-        acts.values.append(v)
-        attn = multi_head_attention(q, k, v, mask, cfg.head_dim, acts.attention_probs)
-        h = h + attn @ lw.wo
-        f = rms_norm(h, lw.ff_norm)
-        h = h + gelu(f @ lw.w1) @ lw.w2
+        acts.keys.append(np.empty((cfg.num_heads, t, cfg.head_dim)))
+        acts.values.append(np.empty_like(acts.keys[-1]))
+        transformer_layer(lw, h, cos, sin, acts.keys[-1], acts.values[-1],
+                          slice(None), [(None, mask)], acts.attention_probs)
     acts.hidden.append(h.copy())
     logits = rms_norm(h, weights.final_norm) @ weights.head
     return logits, acts

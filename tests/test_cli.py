@@ -155,6 +155,27 @@ class TestDecodeCommand:
         assert "do not apply to engine kind 'dual_cache'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sets, message", [
+        (["engine.kind=mars", "engine.tau_text=[4,2,1,1]",
+          "engine.anchor_budgets=[4,4]"],
+         "2 anchor budgets given, model has 4 groups"),
+        (["engine.kind=mars", "engine.tau_text=[4,2,1,1]",
+          "engine.anchor_budgets=[4,4,4,4]", "engine.sample_size=57"],
+         "sample size 57 outside [1, 56]"),
+        (["model.mask_mode=causal"],
+         "block caching needs a bidirectional model, not mask_mode 'causal'"),
+    ])
+    def test_engine_that_does_not_fit_model_rejected(self, tmp_path, capsys,
+                                                     sets, message):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, output_dir=str(out))
+        argv = ["decode", "--config", cfg]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: engine: {message}\n"
+        assert not out.exists()
+
     def test_set_overrides(self, tmp_path):
         cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "o1"),
                         engine={"kind": "vanilla"})
@@ -329,6 +350,20 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert "config error: analyze.trace: " in err
         assert "'dual_cache'" in err and "'vanilla'" in err
+        assert not (tmp_path / "out/cost.csv").exists()
+
+    def test_cost_rejects_trace_of_another_layout(self, tmp_path, capsys):
+        decode_cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "run"),
+                               engine={"kind": "dual_cache"})
+        assert main(["decode", "--config", decode_cfg]) == 0
+        cost_cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"),
+                             engine={"kind": "dual_cache"},
+                             analyze={"trace": str(tmp_path / "run/trace.jsonl")})
+        argv = ["analyze", "--config", cost_cfg, "--mode", "cost",
+                "--set", "layout.num_frames=6"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: analyze.trace: trace/plan mismatch")
         assert not (tmp_path / "out/cost.csv").exists()
 
     def test_drift_csv(self, tmp_path):

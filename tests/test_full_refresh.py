@@ -1,7 +1,10 @@
 """Full refreshes run the cached sweep like every other plan. These tests
-check them against the model's plain forward pass, which the sweep does not
-use: a vanilla decode step by step, and the anchor plan mars fixes at step 1
-against proxies scored from forward's activations."""
+check them against the model's plain forward pass, which runs the same
+transformer layer without the caches: a vanilla decode step by step, and the
+anchor plan mars fixes at step 1 against proxies scored from forward's
+activations. Since that layer code is shared, each engine's first step is
+also checked against the loop-based oracle in reference.py. The engines
+reject causal models, so every case here is bidirectional."""
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from marscache import (
     proxy_scores,
     select_anchors,
 )
-from marscache.diffusion import assemble_embeddings
+from marscache.diffusion import DiffusionState, assemble_embeddings
 from marscache.mars import equidistant_indices
 from marscache.model import apply_rotary, rms_norm, rotary_phases, split_heads
 
@@ -151,3 +154,35 @@ def test_mars_step_one_anchors_equal_forward_proxies(case):
     digest = expected[0].digest()
     assert session.plan == expected[0]
     assert [s.anchor_digest for s in trace.steps] == [digest] * len(trace.steps)
+
+
+@pytest.mark.parametrize("kind", ["vanilla", "dual_cache", "mars"])
+def test_step_one_logits_equal_loop_reference(kind):
+    from reference import ref_forward
+
+    model = ModelConfig(
+        num_layers=2, num_heads=2, model_dim=16, head_dim=8, vocab_size=32,
+        group_boundaries=(0, 1),
+    )
+    layout = default_layout(2, 4, 4, 8, 8, vocab_size=model.vocab_size)
+    weights = init_weights(model, SEED)
+    work = make_workload(layout, model, SEED)
+    params = EngineParams(kind=kind) if kind != "mars" else EngineParams(
+        kind=kind, schedule=RefreshSchedule.uniform_modality((2, 1)),
+        anchor_budgets=(2, 1), sample_size=8,
+    )
+    session = make_engine(
+        params, weights, layout, work.visual_embeddings, work.prompt_tokens
+    )
+    state = DiffusionState(
+        token_ids=np.full(layout.generation_length, layout.mask_token_id),
+        mask_flags=np.ones(layout.generation_length, dtype=bool),
+        active_block=0,
+    )
+    logits, _ = session.step(1, state)
+    emb = assemble_embeddings(
+        weights, layout, work.visual_embeddings, work.prompt_tokens, state.token_ids
+    )
+    span = layout.block_span(0)
+    ref = ref_forward(weights, emb, layout.position_ids)[span.start : span.stop]
+    assert np.max(np.abs(logits - ref)) <= 1e-10

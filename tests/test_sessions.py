@@ -81,3 +81,17 @@ def test_config_rejected_alike_by_engine_and_cost_model(bad, message):
     with pytest.raises(ValueError, match=message) as costed:
         attention_cost(params, SMALL, lay, dc)
     assert str(built.value) == str(costed.value)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_causal_model_rejected_by_engine_and_cost_model(kind):
+    causal = replace(SMALL, mask_mode="causal")
+    lay = default_layout(generation_length=32, vocab_size=SMALL.vocab_size)
+    dc = DecodeConfig(32, 16, 32, tokens_per_step=2)
+    wk = make_workload(lay, causal, 42)
+    message = "block caching needs a bidirectional model, not mask_mode 'causal'"
+    with pytest.raises(ValueError, match=message):
+        make_engine(params_for(kind), init_weights(causal, 42), lay,
+                    wk.visual_embeddings, wk.prompt_tokens)
+    with pytest.raises(ValueError, match=message):
+        attention_cost(params_for(kind), causal, lay, dc)
