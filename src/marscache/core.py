@@ -82,25 +82,33 @@ def softmax_rows(scores: Matrix, additive_mask: Matrix | None = None) -> Matrix:
     """Row-wise softmax with optional additive {0, -inf} mask.
 
     Masked positions come out exactly 0. A row with every position masked
-    raises FullyMaskedRowError rather than returning NaNs.
+    raises FullyMaskedRowError rather than returning NaNs. Never mutates its
+    input: the rows are normalised in a copy.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if additive_mask is not None:
-        if additive_mask.shape != s.shape:
-            raise ValueError(
-                f"mask shape {additive_mask.shape} != scores shape {s.shape}"
-            )
-        s = s + additive_mask
+    if additive_mask is None:
+        return softmax_rows_inplace(s.copy())
+    if additive_mask.shape != s.shape:
+        raise ValueError(
+            f"mask shape {additive_mask.shape} != scores shape {s.shape}"
+        )
+    return softmax_rows_inplace(s + additive_mask)
+
+
+def softmax_rows_inplace(s: np.ndarray) -> np.ndarray:
+    """Row-wise softmax over the last axis of the float64 array s, written
+    into s and returned. Raises FullyMaskedRowError for a row that is all
+    -inf, leaving s unnormalised."""
     row_max = np.max(s, axis=-1, keepdims=True)
     dead = ~np.isfinite(row_max)
     if np.any(dead):
         raise FullyMaskedRowError(
             f"fully masked row(s) at indices {np.flatnonzero(dead.ravel()).tolist()}"
         )
-    z = s - row_max
-    np.exp(z, out=z)
-    z /= np.sum(z, axis=-1, keepdims=True)
-    return z
+    s -= row_max
+    np.exp(s, out=s)
+    s /= np.sum(s, axis=-1, keepdims=True)
+    return s
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:

@@ -13,7 +13,14 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import NEG_INF, Matrix, RandomStream, seeded_stream, softmax_rows
+from .core import (
+    NEG_INF,
+    Matrix,
+    RandomStream,
+    seeded_stream,
+    softmax_rows,
+    softmax_rows_inplace,
+)
 
 RMS_EPS = 1e-6
 ROTARY_BASE = 10000.0
@@ -148,10 +155,11 @@ def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    # One temporary, in place: the array leads the product so NumPy reuses it,
+    # x * x * x: NumPy hands x**3 to libm pow, many times slower. One
+    # temporary, in place: the array leads the product so NumPy reuses it,
     # and halving last gives the bits of 0.5 * x * t (scaling by 0.5 is exact)
     # unless x * t overflows or the result is subnormal.
-    t = (x + 0.044715 * x**3) * np.sqrt(2.0 / np.pi)
+    t = (x + 0.044715 * (x * x * x)) * np.sqrt(2.0 / np.pi)
     np.tanh(t, out=t)
     t += 1.0
     t *= x
@@ -180,12 +188,6 @@ def split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
     return x.reshape(t, num_heads, d // num_heads).transpose(1, 0, 2)
 
 
-def merge_heads(x: np.ndarray) -> np.ndarray:
-    """(H, T, d_k) -> (T, D)"""
-    h, t, dk = x.shape
-    return x.transpose(1, 0, 2).reshape(t, h * dk)
-
-
 def multi_head_attention(
     q: np.ndarray,
     k: np.ndarray,
@@ -194,19 +196,31 @@ def multi_head_attention(
     d_k: int,
     capture: list | None = None,
 ) -> np.ndarray:
-    """Batched per-head attention. q: (H, Tq, d_k); k, v: (H, Tk, d_k).
-    mask, if given, is (Tq, Tk) and shared across heads. Returns (Tq, H*d_k)."""
-    scores = np.matmul(q, k.transpose(0, 2, 1))
-    scores /= np.sqrt(d_k)
-    h, tq, tk = scores.shape
-    if mask is not None:
-        if mask.shape != (tq, tk):
-            raise ValueError(f"mask shape {mask.shape} != ({tq}, {tk})")
-        scores += mask
-    probs = softmax_rows(scores.reshape(h * tq, tk)).reshape(h, tq, tk)
+    """Per-head attention. q: (H, Tq, d_k); k, v: (H, Tk, d_k). mask, if
+    given, is (Tq, Tk) and shared across heads. Returns (Tq, H*d_k).
+
+    The heads run one at a time on a single (Tq, Tk) score buffer, scaled,
+    masked and normalised in place, so the scores of all heads are never
+    held at once; with capture set the buffer is (H, Tq, Tk), one slice per
+    head, and is appended to capture."""
+    h, tq, _ = q.shape
+    tk = k.shape[1]
+    if mask is not None and mask.shape != (tq, tk):
+        raise ValueError(f"mask shape {mask.shape} != ({tq}, {tk})")
+    probs = np.empty((h if capture is not None else 1, tq, tk))
+    out = np.empty((tq, h * d_k))
+    scale = np.sqrt(d_k)
+    for i in range(h):
+        s = probs[i] if capture is not None else probs[0]
+        np.matmul(q[i], k[i].T, out=s)
+        s /= scale
+        if mask is not None:
+            s += mask
+        softmax_rows_inplace(s)
+        np.matmul(s, v[i], out=out[:, i * d_k : (i + 1) * d_k])
     if capture is not None:
         capture.append(probs)
-    return merge_heads(np.matmul(probs, v))
+    return out
 
 
 @dataclass

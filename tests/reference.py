@@ -24,7 +24,7 @@ def ref_rms_norm(x, gain, eps=1e-6):
 
 
 def ref_gelu(x):
-    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
+    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * (x * x * x))))
 
 
 def ref_rotate(vec, pos, head_dim):
@@ -77,6 +77,21 @@ def ref_forward(weights, embeddings, position_ids, mask=None):
         f = ref_rms_norm(h, lw.ff_norm)
         h = h + ref_gelu(f @ lw.w1) @ lw.w2
     return ref_rms_norm(h, weights.final_norm) @ weights.head
+
+
+def ref_batched_attention(q, k, v, mask, d_k):
+    """All heads at once, as multi_head_attention computed them before it
+    ran one head at a time: q (H, Tq, d_k), k and v (H, Tk, d_k), mask
+    (Tq, Tk) or None. Returns the (Tq, H*d_k) output and the (H, Tq, Tk)
+    probabilities."""
+    scores = np.matmul(q, k.transpose(0, 2, 1))
+    scores /= np.sqrt(d_k)
+    if mask is not None:
+        scores += mask
+    z = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    probs = z / np.sum(z, axis=-1, keepdims=True)
+    h, tq, _ = q.shape
+    return np.matmul(probs, v).transpose(1, 0, 2).reshape(tq, h * d_k), probs
 
 
 def brute_force_visual_visibility(layout, anchors, allow_text_keys=False):

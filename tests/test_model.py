@@ -123,10 +123,22 @@ def test_gelu_matches_reference_formula_bitwise():
     assert np.array_equal(gelu(x), ref_gelu(x))
     assert np.array_equal(x, before)
     edges = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-9, -20.0, 40.0, 1e300, -1e300])
-    with np.errstate(over="ignore"):  # x**3 overflows for the outer pair
+    with np.errstate(over="ignore"):  # the cube x * x * x overflows for the outer pair
         got, expect = gelu(edges), ref_gelu(edges)
     assert np.array_equal(got, expect)
     assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
+def test_gelu_within_4_ulp_of_the_pow_cube():
+    # gelu's cube is x * x * x; the x**3 form it replaced differs by one ulp in
+    # the cube and a few in the tanh argument. Where 1 + tanh cancels (x < 0)
+    # the output's own ulp is no scale, so the bound there is x's ulp.
+    x = seeded_stream(9, "gelu").normal(size=(64, 512), std=3.0)
+    pow_form = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    diff = np.abs(gelu(x) - pow_form)
+    assert np.all(diff <= 4 * np.spacing(np.abs(x)))
+    pos = x >= 0
+    assert np.all(diff[pos] <= 4 * np.spacing(np.abs(pow_form[pos])))
 
 
 class TestInitWeights:

@@ -1,6 +1,7 @@
 """Property tests over random small layouts, divisible refresh schedules and
 anchor budgets, for every engine kind: recorded entries equal the brute-force
-plan enumeration, a degenerate mars run equals vanilla, and every decode
+plan enumeration (count mode) and the cost model on the decode's own trace
+(threshold mode), a degenerate mars run equals vanilla, and every decode
 terminates with no masks left."""
 
 import numpy as np
@@ -12,6 +13,7 @@ from marscache import (
     EngineParams,
     ModelConfig,
     RefreshSchedule,
+    attention_cost,
     decode,
     default_layout,
     init_weights,
@@ -107,5 +109,46 @@ def test_plans_match_brute_force_and_degenerate_mars_matches_vanilla(case):
         sample_size=mars["sample_size"],
     )
     assert np.array_equal(tokens_v, tokens_m)
+    for a, b in zip(trace_v.logits_per_step, trace_m.logits_per_step):
+        assert np.max(np.abs(a - b)) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases(), st.sampled_from((0.02, 0.036, 0.0365, 0.037, 0.5)), st.data())
+def test_threshold_mode_plans_match_cost_model_and_degenerate_mars_matches_vanilla(
+        case, threshold, data):
+    layout, model, mars, seed = case
+    gen, block = layout.generation_length, layout.block_length
+    # The random model's top-1 confidences sit near 0.036-0.038, so those
+    # thresholds commit a varying number of tokens per step; 0.02 commits a
+    # whole block at once and 0.5 only the forced minimum.
+    steps = data.draw(st.integers(-(-gen // block), gen), label="num_steps")
+    dc = DecodeConfig(gen, steps, block, confidence_threshold=threshold)
+    weights = init_weights(model, seed)
+    wk = make_workload(layout, model, seed)
+
+    def threshold_decode(params):
+        engine = make_engine(params, weights, layout, wk.visual_embeddings,
+                             wk.prompt_tokens)
+        tokens, trace = decode(engine, layout, dc, collect_logits=True)
+        assert not np.any(tokens == layout.mask_token_id)
+        assert trace.steps[-1].masked_remaining == 0
+        recorded = [s.attention_entries + s.proxy_entries for s in trace.steps]
+        report = attention_cost(params, model, layout, dc, trace=trace)
+        assert report.per_step_entries == recorded, params.kind
+        return tokens, trace
+
+    for kind, params in (("vanilla", {}), ("dual_cache", {}), ("mars", mars)):
+        tokens, trace = threshold_decode(EngineParams(kind=kind, **params))
+        if kind == "vanilla":
+            tokens_v, trace_v = tokens, trace
+
+    groups = model.num_groups
+    tokens_m, trace_m = threshold_decode(EngineParams(
+        kind="mars", schedule=RefreshSchedule.uniform_modality((1,) * groups),
+        anchor_budgets=("full",) * groups, sample_size=mars["sample_size"],
+    ))
+    assert np.array_equal(tokens_v, tokens_m)
+    assert len(trace_v.steps) == len(trace_m.steps)
     for a, b in zip(trace_v.logits_per_step, trace_m.logits_per_step):
         assert np.max(np.abs(a - b)) <= 1e-9
