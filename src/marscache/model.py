@@ -154,17 +154,37 @@ def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS) * gain
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    # x * x * x: NumPy hands x**3 to libm pow, many times slower. One
-    # temporary, in place: the array leads the product so NumPy reuses it,
-    # and halving last gives the bits of 0.5 * x * t (scaling by 0.5 is exact)
-    # unless x * t overflows or the result is subnormal.
-    t = (x + 0.044715 * (x * x * x)) * np.sqrt(2.0 / np.pi)
-    np.tanh(t, out=t)
-    t += 1.0
-    t *= x
-    t *= 0.5
-    return t
+# gelu works through a scratch of this many elements (64 KiB), so it can
+# write over its own input.
+GELU_BLOCK = 8192
+
+
+def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Tanh-approximated GELU of x, written into out: a new array if None,
+    else a C-contiguous float64 array of x's shape, which may be x itself."""
+    # x * x * x: NumPy hands x**3 to libm pow, many times slower. Halving
+    # last gives the bits of 0.5 * x * t (scaling by 0.5 is exact) unless
+    # x * t overflows or the result is subnormal.
+    x = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty(x.shape)
+    elif out.shape != x.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("gelu: out must be a C-contiguous float64 array of x's shape")
+    xs, ys = x.reshape(-1), out.reshape(-1)
+    scratch = np.empty(min(xs.size, GELU_BLOCK))
+    for i in range(0, xs.size, GELU_BLOCK):
+        xb, yb = xs[i : i + GELU_BLOCK], ys[i : i + GELU_BLOCK]
+        t = scratch[: xb.size]
+        np.multiply(xb, xb, out=t)
+        t *= xb
+        t *= 0.044715
+        t += xb
+        t *= np.sqrt(2.0 / np.pi)
+        np.tanh(t, out=t)
+        t += 1.0
+        np.multiply(t, xb, out=yb)
+        yb *= 0.5
+    return out
 
 
 def rotary_phases(position_ids: np.ndarray, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,7 +276,12 @@ def transformer_layer(lw: LayerWeights, x: Matrix, cos, sin, keys, values, rows,
         for sel, mask in masks:
             attn[sel] = multi_head_attention(q[:, sel, :], keys, values, mask, d_k, capture)
     x += attn @ lw.wo
-    x += gelu(rms_norm(x, lw.ff_norm) @ lw.w1) @ lw.w2
+    # The FFN holds one (R, 4D) array, with the attention temporaries
+    # released first: a layer's transient heap then stays under glibc's trim
+    # threshold, so the heap is not handed back and re-faulted every layer.
+    del xn, q, attn
+    hidden = rms_norm(x, lw.ff_norm) @ lw.w1
+    x += gelu(hidden, out=hidden) @ lw.w2
     return x
 
 

@@ -1,11 +1,13 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from marscache.core import NEG_INF, FullyMaskedRowError, seeded_stream
 from marscache.model import (
+    GELU_BLOCK,
     ModelConfig,
     attention,
     build_causal_mask,
@@ -14,7 +16,9 @@ from marscache.model import (
     init_weights,
     load_weights,
     multi_head_attention,
+    rotary_phases,
     save_weights,
+    transformer_layer,
 )
 from reference import ref_gelu
 
@@ -139,6 +143,38 @@ def test_gelu_within_4_ulp_of_the_pow_cube():
     assert np.all(diff <= 4 * np.spacing(np.abs(x)))
     pos = x >= 0
     assert np.all(diff[pos] <= 4 * np.spacing(np.abs(pow_form[pos])))
+
+
+def test_gelu_in_place_matches_reference_across_blocks():
+    # Two full blocks and a partial one, so every block boundary is crossed.
+    x = seeded_stream(9, "gelu").normal(size=(2 * GELU_BLOCK + 37,), std=3.0)
+    expect = ref_gelu(x)
+    assert np.array_equal(gelu(x), expect)
+    assert gelu(x, out=x) is x
+    assert np.array_equal(x, expect)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        gelu(x, out=np.empty(2 * x.size)[::2])
+
+
+def test_layer_holds_one_ffn_array_at_a_time():
+    # The FFN overwrites its (R, 4D) hidden array in place and the attention
+    # temporaries are gone before it runs. Before, a layer held the hidden
+    # array, GELU's output and the attention temporaries at once (2.75x);
+    # glibc trims its heap once the free top exceeds twice its largest
+    # block, so that transient was handed back and re-faulted every layer.
+    t = 208
+    w = init_weights(TOY, 0)
+    x = seeded_stream(3, "x").normal(size=(t, TOY.model_dim))
+    cos, sin = rotary_phases(np.arange(t), TOY.head_dim)
+    keys = np.empty((TOY.num_heads, t, TOY.head_dim))
+    values = np.empty_like(keys)
+    tracemalloc.start()
+    try:
+        transformer_layer(w.layers[0], x, cos, sin, keys, values, slice(None), [(None, None)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * t * 4 * TOY.model_dim * 8
 
 
 class TestInitWeights:
