@@ -39,7 +39,6 @@ from .mars import (
     RefreshSchedule,
     anchor_augmented_attention,
     chunk_attention,
-    chunk_entry_count,
     neighborhood,
     proxy_scores,
     refresh_due,

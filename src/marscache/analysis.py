@@ -178,13 +178,11 @@ class CostReport:
         return sum(self.per_step_rows)
 
 
-def anchor_visibility_count(
-    layout: SequenceLayout, budget: int, allow_text_keys: bool = False
-) -> int:
+def anchor_visibility_count(layout: SequenceLayout, budget: int) -> int:
     """Closed-form visible-key count of one chunked visual refresh with a
     per-frame anchor budget. Independent of which tokens were chosen: every
     frame contributes exactly `budget` anchors, so the neighborhood/anchor
-    overlap is exact."""
+    overlap is exact. Budget 0 gives plain frame-wise chunk attention."""
     lay = layout
     total = lay.total_length
     anchors_total = lay.num_frames * budget
@@ -193,8 +191,6 @@ def anchor_visibility_count(
         nb_frames = len({max(n - 1, 1), n, min(n + 1, lay.num_frames)})
         nb = nb_frames * lay.patches_per_frame
         union = nb + anchors_total - nb_frames * budget
-        if allow_text_keys:
-            union += total - lay.visual_length
         count += budget * total + (lay.patches_per_frame - budget) * union
     return count
 
@@ -216,10 +212,7 @@ def attention_cost(
     a trace, block b runs min(budget_b, ceil(len_b / tokens_per_step)) steps;
     threshold-mode step counts depend on the decode, so they need the trace."""
     budgets = validate_params(engine_params, model_config, layout)
-    visual_counts = [
-        anchor_visibility_count(layout, k, engine_params.allow_text_keys)
-        for k in budgets
-    ]
+    visual_counts = [anchor_visibility_count(layout, k) for k in budgets]
     tps = decode_config.tokens_per_step
     if trace is not None:
         step_blocks = [(s.step, s.block) for s in trace.steps]

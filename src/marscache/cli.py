@@ -1,5 +1,5 @@
-"""Command-line front end: reproducible decode runs, engine benchmarks, and
-analysis reports, all driven by a single JSON run config. Flags only override
+"""Command-line front end: reproducible decode runs and analysis reports,
+both driven by a single JSON run config. Flags only override
 config keys; every command echoes its fully resolved config into the output
 directory so any artifact is re-derivable from its own directory."""
 
@@ -142,7 +142,7 @@ def build_decode_config(cfg: dict) -> DecodeConfig:
 def build_engine_params(engine_cfg: dict) -> EngineParams:
     presets = engine_cfg.get("presets", [])
     overrides = {
-        k: v for k, v in engine_cfg.items() if k not in ("presets", "name", "kind")
+        k: v for k, v in engine_cfg.items() if k not in ("presets", "kind")
     }
     if "kind" in engine_cfg:
         overrides["engine_kind"] = engine_cfg["kind"]
@@ -160,41 +160,30 @@ def _echo_config(cfg: dict, outdir: Path) -> None:
         f.write("\n")
 
 
-def _run_engines(cfg: dict, engine_cfgs: list[dict]) -> list:
-    """Decode once per engine config on one set of weights and inputs;
-    returns (params, tokens, trace, seconds) per engine."""
+def _validate(cfg: dict):
+    """Raise ConfigError before any artifact is written; returns the model
+    config, layout, decode config and engine params."""
     model_cfg = build_model_config(cfg)
     layout = build_layout(cfg)
     decode_cfg = build_decode_config(cfg)
-    weights = init_weights(model_cfg, cfg["seed"])
-    wk = make_workload(layout, model_cfg, cfg["seed"])
-    results = []
-    for engine_cfg in engine_cfgs:
-        params = build_engine_params(engine_cfg)
-        engine = make_engine(params, weights, layout, wk.visual_embeddings, wk.prompt_tokens)
-        started = time.perf_counter()
-        tokens, trace = decode(engine, layout, decode_cfg)
-        results.append((params, tokens, trace, time.perf_counter() - started))
-    return results
-
-
-def _validate(cfg: dict, engine_cfg: dict) -> None:
-    """Raise ConfigError before any artifact is written."""
-    model_cfg = build_model_config(cfg)
-    layout = build_layout(cfg)
-    build_decode_config(cfg)
-    params = build_engine_params(engine_cfg)
+    params = build_engine_params(cfg["engine"])
     try:
         validate_params(params, model_cfg, layout)
     except ValueError as e:
         raise ConfigError(f"engine: {e}") from e
+    return model_cfg, layout, decode_cfg, params
 
 
 def cmd_decode(cfg: dict) -> int:
-    _validate(cfg, cfg["engine"])
+    model_cfg, layout, decode_cfg, params = _validate(cfg)
     outdir = Path(cfg["output_dir"])
     _echo_config(cfg, outdir)
-    [(_, tokens, trace, elapsed)] = _run_engines(cfg, [cfg["engine"]])
+    weights = init_weights(model_cfg, cfg["seed"])
+    wk = make_workload(layout, model_cfg, cfg["seed"])
+    engine = make_engine(params, weights, layout, wk.visual_embeddings, wk.prompt_tokens)
+    started = time.perf_counter()
+    tokens, trace = decode(engine, layout, decode_cfg)
+    elapsed = time.perf_counter() - started
     with open(outdir / "tokens.txt", "w") as f:
         f.write(" ".join(str(int(t)) for t in tokens) + "\n")
     trace.to_jsonl(str(outdir / "trace.jsonl"))
@@ -203,45 +192,6 @@ def cmd_decode(cfg: dict) -> int:
         f"decode ok: engine={trace.engine} tokens={len(tokens)} "
         f"tokens/sec={tps:.1f} score_entries={trace.total_entries()}"
     )
-    return 0
-
-
-def cmd_bench(cfg: dict) -> int:
-    engines = cfg.get("engines") or []
-    if not engines:
-        raise ConfigError("engines: bench requires a non-empty engine list")
-    for engine_cfg in engines:
-        _validate(cfg, engine_cfg)
-    outdir = Path(cfg["output_dir"])
-    _echo_config(cfg, outdir)
-
-    # A vanilla reference run feeds the ratio/agreement columns when the list
-    # has none; it is not emitted as a row.
-    has_vanilla = any(build_engine_params(e).kind == "vanilla" for e in engines)
-    runs = _run_engines(cfg, engines if has_vanilla else engines + [{"kind": "vanilla"}])
-    _, base_tokens, base_trace, _ = next(r for r in runs if r[0].kind == "vanilla")
-    base_entries = base_trace.total_entries()
-    rows = []
-    for engine_cfg, (params, tokens, trace, elapsed) in zip(engines, runs):
-        name = engine_cfg.get("name") or "+".join(
-            engine_cfg.get("presets", []) or [params.kind]
-        )
-        rows.append([
-            name,
-            params.kind,
-            f"{len(tokens) / elapsed:.3f}",
-            trace.total_entries(),
-            f"{trace.total_entries() / base_entries:.6f}",
-            f"{float(np.mean(tokens == base_tokens)):.6f}",
-        ])
-    write_csv(
-        str(outdir / "bench.csv"),
-        ["name", "kind", "tokens_per_sec", "total_entries",
-         "entry_ratio_vs_vanilla", "agreement_vs_vanilla"],
-        rows,
-    )
-    for row in rows:
-        print("bench:", ",".join(str(c) for c in row))
     return 0
 
 
@@ -254,7 +204,7 @@ def cmd_analyze(cfg: dict, mode: str) -> int:
             f"analyze.mode: unknown mode {mode!r}; valid: {', '.join(ANALYZE_MODES)}"
         )
     if mode != "visibility":
-        _validate(cfg, cfg["engine"])
+        _validate(cfg)
     outdir = Path(cfg["output_dir"])
     _echo_config(cfg, outdir)
     opts = cfg.get("analyze", {})
@@ -409,10 +359,10 @@ def _apply_overrides(cfg: dict, sets: list[str]) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="marscache",
-        description="Masked-diffusion decoding engine benchmarks and analyses.",
+        description="Masked-diffusion decoding engine runs and analyses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("decode", "bench", "analyze"):
+    for name in ("decode", "analyze"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=False, help="path to run config JSON")
         p.add_argument("--set", action="append", default=[], dest="sets",
@@ -430,8 +380,6 @@ def main(argv=None) -> int:
         _apply_overrides(cfg, args.sets)
         if args.command == "decode":
             return cmd_decode(cfg)
-        if args.command == "bench":
-            return cmd_bench(cfg)
         return cmd_analyze(cfg, args.mode)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

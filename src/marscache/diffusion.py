@@ -70,12 +70,6 @@ class SequenceLayout:
         start = (n - 1) * self.patches_per_frame
         return range(start, start + self.patches_per_frame)
 
-    def frame_of(self, index: int) -> int:
-        """1-based frame index of an absolute visual position."""
-        if not 0 <= index < self.visual_length:
-            raise ValueError(f"index {index} not in visual segment")
-        return index // self.patches_per_frame + 1
-
     @property
     def num_blocks(self) -> int:
         return -(-self.generation_length // self.block_length)

@@ -58,10 +58,7 @@ class EngineParams:
     kind: str = "vanilla"
     schedule: RefreshSchedule | None = None
     anchor_budgets: tuple = ()
-    chunk_enabled: bool = True
     sample_size: int = 32
-    # Open switch: let non-anchor visual queries also see prompt/response keys.
-    allow_text_keys: bool = False
 
     def __post_init__(self):
         if self.kind not in ENGINE_KINDS:
@@ -127,10 +124,7 @@ def step_plan(params: EngineParams, t: int, block_start: bool) -> StepPlan:
                  if refresh_due(t, g, m, schedule)), None)
         for m in (VISUAL, TEXT)
     }
-    return StepPlan(
-        entry[VISUAL], entry[TEXT],
-        chunked=params.chunk_enabled and entry[VISUAL] is not None,
-    )
+    return StepPlan(entry[VISUAL], entry[TEXT], chunked=entry[VISUAL] is not None)
 
 
 def plan_cost(
@@ -261,9 +255,7 @@ class EngineSession:
         )
         self.visual_masks, self.visual_mask_counts = [], []
         for g in range(cfg.num_groups):
-            vis = visual_key_visibility(
-                lay, self.plan.unions[g], self.params.allow_text_keys
-            )
+            vis = visual_key_visibility(lay, self.plan.unions[g])
             self.visual_masks.append(visibility_to_additive(vis))
             self.visual_mask_counts.append(int(vis.sum()))
 

@@ -111,15 +111,6 @@ def chunk_attention(Q: Matrix, K: Matrix, V: Matrix, layout: SequenceLayout) -> 
     return out
 
 
-def chunk_entry_count(layout: SequenceLayout) -> int:
-    """Closed-form score-entry count of one chunked visual self-attention
-    pass: sum over frames of |frame| * |neighborhood|."""
-    return sum(
-        layout.patches_per_frame * neighborhood(layout, n).size
-        for n in range(1, layout.num_frames + 1)
-    )
-
-
 def equidistant_indices(total: int, count: int) -> np.ndarray:
     """First index of each of `count` equal strata over [0, total)."""
     if not 1 <= count <= total:
@@ -225,12 +216,10 @@ def select_anchors(
     )
 
 
-def visual_key_visibility(
-    layout: SequenceLayout, anchors, allow_text_keys: bool = False
-) -> np.ndarray:
+def visual_key_visibility(layout: SequenceLayout, anchors) -> np.ndarray:
     """Boolean key-visibility matrix for visual query rows, shape (V, L):
     anchor rows see everything; non-anchor rows in frame n see
-    neighborhood(n) plus the anchor set (plus text keys when the flag is on)."""
+    neighborhood(n) plus the anchor set."""
     v, total = layout.visual_length, layout.total_length
     anchor_set = np.zeros(v, dtype=bool)
     anchor_idx = np.asarray(sorted(anchors), dtype=np.int64)
@@ -243,8 +232,6 @@ def visual_key_visibility(
         span = layout.frame_span(n)
         vis[span.start : span.stop, neighborhood(layout, n)] = True
     vis[:, anchor_idx] = True
-    if allow_text_keys:
-        vis[:, v:] = True
     vis[anchor_set, :] = True
     return vis
 
@@ -257,12 +244,7 @@ def visibility_to_additive(vis: np.ndarray) -> Matrix:
 
 
 def anchor_augmented_attention(
-    Q: Matrix,
-    K: Matrix,
-    V: Matrix,
-    layout: SequenceLayout,
-    anchors,
-    allow_text_keys: bool = False,
+    Q: Matrix, K: Matrix, V: Matrix, layout: SequenceLayout, anchors
 ) -> Matrix:
     """Full-sequence attention under the anchor-augmented visibility rule:
     text-context and active-block queries attend everywhere; anchor visual
@@ -272,9 +254,7 @@ def anchor_augmented_attention(
     if Q.shape[0] != total:
         raise ValueError(f"Q rows {Q.shape[0]} != sequence length {total}")
     vis = np.ones((total, total), dtype=bool)
-    vis[: layout.visual_length] = visual_key_visibility(
-        layout, anchors, allow_text_keys
-    )
+    vis[: layout.visual_length] = visual_key_visibility(layout, anchors)
     return attention(Q, K, V, visibility_to_additive(vis))
 
 

@@ -55,14 +55,6 @@ class ModelConfig:
     def num_groups(self) -> int:
         return len(self.group_boundaries)
 
-    def group_of_layer(self, layer: int) -> int:
-        """0-based group index of a layer."""
-        g = 0
-        for i, start in enumerate(self.group_boundaries):
-            if layer >= start:
-                g = i
-        return g
-
     def group_layers(self, g: int) -> range:
         start = self.group_boundaries[g]
         end = (

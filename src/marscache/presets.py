@@ -1,7 +1,7 @@
 """Named schedule/budget presets shipped as JSON files. A preset is a partial
 engine configuration; presets listed later in a run config override earlier
 ones, and explicit engine keys override presets. Keys: engine_kind,
-tau_text, tau_visual, anchor_budgets, chunk_enabled, sample_size."""
+tau_text, tau_visual, anchor_budgets, sample_size."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ PRESET_KEYS = {
     "tau_text",
     "tau_visual",
     "anchor_budgets",
-    "chunk_enabled",
     "sample_size",
 }
 
@@ -47,18 +46,17 @@ def merge_presets(names, overrides: dict | None = None) -> dict:
     merged: dict = {}
     for name in names:
         merged.update(load_preset(name))
-    if overrides:
-        unknown = set(overrides) - PRESET_KEYS
-        if unknown:
-            raise ValueError(f"unknown engine config keys: {sorted(unknown)}")
-        merged.update(overrides)
+    merged.update(overrides or {})
     return merged
 
 
 def engine_params_from_dict(data: dict) -> EngineParams:
     """Build EngineParams from a merged preset/override dict. Every key but
-    engine_kind configures mars only; a key that does not apply to the kind
-    raises ValueError."""
+    engine_kind configures mars only; a key outside PRESET_KEYS, or one that
+    does not apply to the kind, raises ValueError."""
+    unknown = set(data) - PRESET_KEYS
+    if unknown:
+        raise ValueError(f"unknown engine config keys: {sorted(unknown)}")
     kind = data.get("engine_kind", "vanilla")
     applies = PRESET_KEYS if kind == "mars" else {"engine_kind"}
     stray = sorted(set(data) - applies)
@@ -79,8 +77,6 @@ def engine_params_from_dict(data: dict) -> EngineParams:
         )
     if "anchor_budgets" in data:
         options["anchor_budgets"] = tuple(data["anchor_budgets"])
-    if "chunk_enabled" in data:
-        options["chunk_enabled"] = bool(data["chunk_enabled"])
     if "sample_size" in data:
         options["sample_size"] = int(data["sample_size"])
     return EngineParams(kind="mars", **options)

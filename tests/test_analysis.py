@@ -20,7 +20,6 @@ from marscache import (
     visibility_frequency,
 )
 from marscache.analysis import anchor_visibility_count, decode_drift, drift
-from marscache.mars import chunk_entry_count
 from reference import brute_force_step_entries
 
 SMALL = ModelConfig(
@@ -121,7 +120,7 @@ class TestAttentionCost:
 
     def test_chunk_portion_closed_form(self):
         lay = default_layout()
-        assert anchor_visibility_count(lay, 0) == chunk_entry_count(lay) == 5632
+        assert anchor_visibility_count(lay, 0) == 5632
 
     def test_anchor_count_saturation(self):
         lay = default_layout()

@@ -52,14 +52,13 @@ def test_equals_batched_oracle(h, tq, tk, d_k, masked):
     check_against_oracle(q, k, v, mask, d_k)
 
 
-@pytest.mark.parametrize("allow_text_keys", [False, True])
-def test_equals_batched_oracle_on_the_chunked_split(allow_text_keys):
+def test_equals_batched_oracle_on_the_chunked_split():
     # The sweep's chunked plan: non-visual rows attend unmasked, visual rows
     # under the additive anchor mask, both over the whole key buffer.
     lay = default_layout(num_frames=4, patches_per_frame=8, prompt_length=6,
                          generation_length=16, block_length=8, vocab_size=64)
     anchors = [0, 3, 9, 17, 18, 30]
-    mask = visibility_to_additive(visual_key_visibility(lay, anchors, allow_text_keys))
+    mask = visibility_to_additive(visual_key_visibility(lay, anchors))
     total, d_k = lay.total_length, 8
     q, k, v = qkv(3, 2, total, total, d_k)
     vis_sel = np.arange(total) < lay.visual_length

@@ -43,6 +43,10 @@ class TestPresets:
         assert "table10-pyramid" in names
         assert "table8-best" in names
 
+    def test_every_preset_loads(self):
+        for name in available_presets():
+            load_preset(name)  # raises on a key outside PRESET_KEYS
+
     def test_table10_pyramid_values(self):
         p = load_preset("table10-pyramid")
         assert p["tau_text"] == [64, 32, 16, 8]
@@ -70,7 +74,12 @@ class TestPresets:
             engine_params_from_dict({"engine_kind": "dual_cache", "tau_text": [1, 1],
                                      "anchor_budgets": [9], "sample_size": -3})
         with pytest.raises(ValueError, match="'vanilla'"):
-            engine_params_from_dict({"chunk_enabled": False})
+            engine_params_from_dict({"sample_size": 8})
+
+    def test_unknown_key_rejected_as_unknown(self):
+        with pytest.raises(ValueError,
+                           match=r"unknown engine config keys: \['chunk_enabled'\]"):
+            engine_params_from_dict({"engine_kind": "mars", "chunk_enabled": True})
 
     def test_mars_defaults_come_from_engine_params(self):
         params = engine_params_from_dict(
@@ -155,6 +164,18 @@ class TestDecodeCommand:
         assert "do not apply to engine kind 'dual_cache'" in err
         assert not out.exists()
 
+    def test_unknown_engine_key_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, output_dir=str(out), engine={
+            "kind": "mars", "presets": ["table10-pyramid", "table8-uniform"],
+        })
+        assert main(["decode", "--config", cfg,
+                     "--set", "engine.chunk_enabled=false"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: engine: ")
+        assert "unknown engine config keys: ['chunk_enabled']" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sets, message", [
         (["engine.kind=mars", "engine.tau_text=[4,2,1,1]",
           "engine.anchor_budgets=[4,4]"],
@@ -182,86 +203,6 @@ class TestDecodeCommand:
         assert main(["decode", "--config", cfg, "--set",
                      f"output_dir={tmp_path / 'o2'}"]) == 0
         assert (tmp_path / "o2/tokens.txt").exists()
-
-
-class TestBenchCommand:
-    def test_empty_engine_list_rejected(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"), engines=[])
-        assert main(["bench", "--config", cfg]) == 2
-        assert "engines" in capsys.readouterr().err
-
-    def test_degenerate_agreement_is_full(self, tmp_path):
-        cfg = write_cfg(
-            tmp_path,
-            output_dir=str(tmp_path / "out"),
-            engines=[
-                {"name": "vanilla", "kind": "vanilla"},
-                {
-                    "name": "mars-degenerate", "kind": "mars",
-                    "tau_text": [1, 1, 1, 1], "tau_visual": [1, 1, 1, 1],
-                    "anchor_budgets": ["full", "full", "full", "full"],
-                },
-            ],
-        )
-        assert main(["bench", "--config", cfg]) == 0
-        with open(tmp_path / "out/bench.csv") as f:
-            rows = list(csv.DictReader(f))
-        assert [r["name"] for r in rows] == ["vanilla", "mars-degenerate"]
-        assert float(rows[1]["agreement_vs_vanilla"]) == 1.0
-        assert float(rows[0]["entry_ratio_vs_vanilla"]) == 1.0
-
-    def test_preset_engine_entry_ratio_on_default_workload(self, tmp_path):
-        # Default toy workload, no model/layout overrides.
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "seed": 42,
-            "output_dir": str(tmp_path / "out"),
-            "engines": [
-                {"name": "vanilla", "kind": "vanilla"},
-                {"name": "mars", "presets": ["table10-pyramid", "table8-best"]},
-            ],
-        }))
-        assert main(["bench", "--config", str(cfg_path)]) == 0
-        with open(tmp_path / "out/bench.csv") as f:
-            rows = {r["name"]: r for r in csv.DictReader(f)}
-        assert float(rows["mars"]["entry_ratio_vs_vanilla"]) <= 0.35
-        assert int(rows["vanilla"]["total_entries"]) > int(
-            rows["mars"]["total_entries"]
-        )
-
-    def test_rows_in_declaration_order_with_ratio(self, tmp_path):
-        cfg = write_cfg(
-            tmp_path,
-            output_dir=str(tmp_path / "out"),
-            engines=[
-                {"name": "a", "kind": "dual_cache"},
-                {"name": "b", "kind": "vanilla"},
-            ],
-        )
-        assert main(["bench", "--config", cfg]) == 0
-        with open(tmp_path / "out/bench.csv") as f:
-            rows = list(csv.DictReader(f))
-        assert [r["name"] for r in rows] == ["a", "b"]
-        assert float(rows[0]["entry_ratio_vs_vanilla"]) < 1.0
-
-    def test_weights_and_inputs_built_once(self, tmp_path, monkeypatch):
-        import marscache.cli as cli
-
-        calls = []
-
-        def counting(name, real):
-            def wrapper(*args):
-                calls.append(name)
-                return real(*args)
-            return wrapper
-
-        for name in ("init_weights", "make_workload"):
-            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
-        # No vanilla row: the implicit vanilla reference shares them too.
-        cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"),
-                        engines=[{"kind": "dual_cache"}, {"kind": "dual_cache"}])
-        assert main(["bench", "--config", cfg]) == 0
-        assert calls == ["init_weights", "make_workload"]
 
 
 class TestAnalyzeCommand:

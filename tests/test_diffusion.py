@@ -47,7 +47,6 @@ class TestLayout:
     def test_frame_lookup(self):
         lay = default_layout()
         assert lay.frame_span(1) == range(0, 16)
-        assert lay.frame_of(17) == 2
         with pytest.raises(ValueError):
             lay.frame_span(9)
 

@@ -9,7 +9,6 @@ from marscache import (
     anchor_augmented_attention,
     attention,
     chunk_attention,
-    chunk_entry_count,
     decode,
     default_layout,
     forward,
@@ -24,6 +23,7 @@ from marscache import (
     select_anchors,
     validate_schedule,
 )
+from marscache.analysis import anchor_visibility_count
 from marscache.mars import equidistant_indices, visual_key_visibility
 from reference import brute_force_visual_visibility
 
@@ -103,12 +103,12 @@ class TestChunkAttention:
 
     def test_entry_count_closed_form(self):
         lay = default_layout()  # N=8, P=16
-        assert chunk_entry_count(lay) == 2 * 16 * 32 + 6 * 16 * 48 == 5632
+        assert anchor_visibility_count(lay, 0) == 2 * 16 * 32 + 6 * 16 * 48 == 5632
 
     def test_entry_count_matches_mask_enumeration(self):
         lay = default_layout()
         vis = brute_force_visual_visibility(lay, anchors=())
-        assert int(vis[:, : lay.visual_length].sum()) == chunk_entry_count(lay)
+        assert int(vis[:, : lay.visual_length].sum()) == anchor_visibility_count(lay, 0)
 
     def test_locality_is_observable(self):
         # Dominant key in frame 1 is invisible to a frame-4 query under
@@ -270,10 +270,9 @@ class TestAnchorAugmentedAttention:
     def test_visibility_matches_brute_force(self):
         lay = small_layout()
         anchors = (1, 5, 9, 14)
-        for flag in (False, True):
-            vis = visual_key_visibility(lay, anchors, allow_text_keys=flag)
-            ref = brute_force_visual_visibility(lay, anchors, allow_text_keys=flag)
-            assert np.array_equal(vis, ref)
+        vis = visual_key_visibility(lay, anchors)
+        ref = brute_force_visual_visibility(lay, anchors)
+        assert np.array_equal(vis, ref)
 
 
 class TestRelocateAnchors:
@@ -338,19 +337,6 @@ class TestEngines:
         assert np.array_equal(tokens_v, tokens_m)
         for a, b in zip(trace_v.logits_per_step, trace_m.logits_per_step):
             assert np.max(np.abs(a - b)) <= 1e-9
-
-    def test_degenerate_chunk_off_equivalence(self):
-        lay = small_layout()
-        dc = DecodeConfig(32, 16, 16, tokens_per_step=2)
-        van, _, _ = build_session("vanilla", lay, SMALL)
-        tokens_v, _ = decode(van, lay, dc)
-        mars, _, _ = build_session(
-            "mars", lay, SMALL,
-            schedule=RefreshSchedule.uniform_modality((1, 1, 1, 1)),
-            anchor_budgets=(0, 0, 0, 0), chunk_enabled=False,
-        )
-        tokens_m, _ = decode(mars, lay, dc)
-        assert np.array_equal(tokens_v, tokens_m)
 
     def test_dual_cache_single_step_blocks_equal_vanilla(self):
         # One step per block means the cache is rebuilt every step.
@@ -449,23 +435,6 @@ class TestEngines:
         for g in range(SMALL.num_groups):
             ref = brute_force_visual_visibility(lay, mars.plan.unions[g])
             assert mars.visual_mask_counts[g] == int(ref.sum())
-
-    def test_allow_text_keys_variant_runs_and_accounts(self):
-        from marscache import attention_cost
-
-        lay = small_layout()
-        dc = DecodeConfig(32, 16, 16, tokens_per_step=2)
-        params = EngineParams(
-            kind="mars",
-            schedule=RefreshSchedule(tau_text=(4, 2, 2, 1), tau_visual=(4, 4, 2, 2)),
-            anchor_budgets=(2, 1, 1, 1), sample_size=8, allow_text_keys=True,
-        )
-        w = init_weights(SMALL, 42)
-        wk = make_workload(lay, SMALL, 42)
-        eng = make_engine(params, w, lay, wk.visual_embeddings, wk.prompt_tokens)
-        tokens, trace = decode(eng, lay, dc)
-        assert not np.any(tokens == lay.mask_token_id)
-        attention_cost(params, SMALL, lay, dc, trace=trace)  # raises on mismatch
 
     def test_mars_requires_schedule(self):
         with pytest.raises(ValueError):

@@ -60,9 +60,7 @@ def cases(draw):
         budgets = ["full" if k == patches else k for k in budgets]
     mars = dict(
         schedule=schedule, anchor_budgets=tuple(budgets),
-        chunk_enabled=draw(st.booleans()),
         sample_size=draw(st.integers(1, min(8, layout.total_length))),
-        allow_text_keys=draw(st.booleans()),
     )
     return layout, model, mars, draw(st.integers(0, 10_000))
 
@@ -93,9 +91,7 @@ def test_plans_match_brute_force_and_degenerate_mars_matches_vanilla(case):
         expect = brute_force_step_entries(
             kind, layout, model, dc, schedule=params.get("schedule"),
             budgets=params.get("anchor_budgets"),
-            chunk_enabled=params.get("chunk_enabled", True),
             sample_size=params.get("sample_size", 32),
-            allow_text_keys=params.get("allow_text_keys", False),
         )
         assert recorded == expect, kind
         if kind == "vanilla":
