@@ -178,23 +178,6 @@ class CostReport:
         return sum(self.per_step_rows)
 
 
-def anchor_visibility_count(layout: SequenceLayout, budget: int) -> int:
-    """Closed-form visible-key count of one chunked visual refresh with a
-    per-frame anchor budget. Independent of which tokens were chosen: every
-    frame contributes exactly `budget` anchors, so the neighborhood/anchor
-    overlap is exact. Budget 0 gives plain frame-wise chunk attention."""
-    lay = layout
-    total = lay.total_length
-    anchors_total = lay.num_frames * budget
-    count = 0
-    for n in range(1, lay.num_frames + 1):
-        nb_frames = len({max(n - 1, 1), n, min(n + 1, lay.num_frames)})
-        nb = nb_frames * lay.patches_per_frame
-        union = nb + anchors_total - nb_frames * budget
-        count += budget * total + (lay.patches_per_frame - budget) * union
-    return count
-
-
 def attention_cost(
     engine_params: EngineParams,
     model_config: ModelConfig,
@@ -205,14 +188,13 @@ def attention_cost(
     """Analytic per-step score-entry counts for an engine's attention plan.
 
     Each step's plan comes from the engines' refresh policy and is costed by
-    the same `plan_cost`; only the chunked visibility counts differ in origin
-    (closed form here, the built masks in the engine). With a trace, the
+    the same `plan_cost` with the same arguments as in the engine, so its
+    chunked visual rows count `mars.anchor_visibility_count`. With a trace, the
     step -> block mapping is taken from the trace and every recorded per-step
     count is checked against the analytic value; any mismatch raises. Without
     a trace, block b runs min(budget_b, ceil(len_b / tokens_per_step)) steps;
     threshold-mode step counts depend on the decode, so they need the trace."""
-    budgets = validate_params(engine_params, model_config, layout)
-    visual_counts = [anchor_visibility_count(layout, k) for k in budgets]
+    validate_params(engine_params, model_config, layout)
     tps = decode_config.tokens_per_step
     if trace is not None:
         step_blocks = [(s.step, s.block) for s in trace.steps]
@@ -231,8 +213,7 @@ def attention_cost(
     prev_block = None
     for t, block in step_blocks:
         plan = step_plan(engine_params, t, block != prev_block)
-        rec = plan_cost(plan, engine_params, model_config, layout, t, block,
-                        visual_counts)
+        rec = plan_cost(plan, engine_params, model_config, layout, t, block)
         per_entries.append(rec.attention_entries + rec.proxy_entries)
         per_rows.append(rec.rows_recomputed)
         prev_block = block

@@ -14,9 +14,11 @@ chunked anchor mask:
 Every plan runs the same shallow-to-deep sweep, in which the set of live
 (recomputed) rows grows monotonically with depth; everything not live is
 served from the per-layer key/value caches and group-boundary states. A full
-refresh is the plan whose rows are all live from group 0. `plan_cost` turns
-a plan into the step's record (score entries, recomputed rows, refreshed
-groups); the analytic cost model reads the same plans."""
+refresh is the plan whose rows are all live from group 0. A chunked plan
+builds each group's visual mask from the anchor plan when the sweep reaches
+that group. `plan_cost` turns a plan into the step's record (score entries,
+recomputed rows, refreshed groups); the analytic cost model calls it with
+the same arguments."""
 
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .mars import (
     VISUAL,
     AnchorPlan,
     RefreshSchedule,
+    anchor_visibility_count,
     equidistant_indices,
     proxy_scores,
     refresh_due,
@@ -72,14 +75,14 @@ class EngineParams:
 
 def validate_params(
     params: EngineParams, model_config: ModelConfig, layout: SequenceLayout
-) -> tuple[int, ...]:
+) -> None:
     """Check a configuration against the model and layout before any step
-    runs; returns the resolved per-group anchor budgets (empty unless mars)."""
+    runs."""
     if model_config.mask_mode != "bidirectional":
         raise ValueError("block caching needs a bidirectional model, not "
                          f"mask_mode {model_config.mask_mode!r}")
     if params.kind != "mars":
-        return ()
+        return
     groups = model_config.num_groups
     if params.schedule.num_groups != groups:
         raise ValueError(
@@ -93,7 +96,7 @@ def validate_params(
         raise ValueError(
             f"sample size {params.sample_size} outside [1, {layout.total_length}]"
         )
-    return resolve_budgets(params.anchor_budgets, layout.patches_per_frame)
+    resolve_budgets(params.anchor_budgets, layout.patches_per_frame)
 
 
 @dataclass(frozen=True)
@@ -134,21 +137,22 @@ def plan_cost(
     layout: SequenceLayout,
     t: int,
     block: int,
-    visual_counts,
 ) -> StepRecord:
     """The step record implied by a plan: score entries, proxy entries,
-    recomputed row-layers and refreshed groups. visual_counts[g] is the
-    visible-key count of group g's chunked visual mask."""
+    recomputed row-layers and refreshed groups. Chunked visual rows of group
+    g count anchor_visibility_count at g's budget, which holds for whichever
+    anchors step 1 selects."""
     cfg, lay = model_config, layout
     total, vis = lay.total_length, lay.visual_length
     blk = len(lay.block_span(block))
+    budgets = resolve_budgets(params.anchor_budgets, lay.patches_per_frame)
     entries = rows = 0
     for g in range(cfg.num_groups):
         visual_live = plan.entry_visual is not None and g >= plan.entry_visual
         text_live = plan.entry_text is not None and g >= plan.entry_text
         live = blk + (vis if visual_live else 0) + (total - vis - blk if text_live else 0)
         if visual_live and plan.chunked:
-            layer_entries = (live - vis) * total + visual_counts[g]
+            layer_entries = (live - vis) * total + anchor_visibility_count(lay, budgets[g])
         else:
             layer_entries = live * total
         layers = len(cfg.group_layers(g))
@@ -171,7 +175,8 @@ def plan_cost(
 class EngineSession:
     """Decode session for any engine kind. Reusable: step 1 of every decode
     is a full refresh that rebuilds every cache and, for mars, the anchor
-    plan and its visibility masks."""
+    plan, the session's only chunk state: a chunked sweep builds each
+    group's visibility mask from the plan when it reaches that group."""
 
     def __init__(
         self,
@@ -202,8 +207,6 @@ class EngineSession:
         self.hidden = np.zeros((total, cfg.model_dim))
         self.cached_block: int | None = None
         self.plan: AnchorPlan | None = None
-        self.visual_masks: list[np.ndarray] = []
-        self.visual_mask_counts: list[int] = []
 
     def step(self, t: int, state: DiffusionState):
         """Run step t's plan; returns (active-block logits, StepRecord)."""
@@ -220,18 +223,15 @@ class EngineSession:
         logits = self._sweep(emb, state.active_block, plan)
         if plan.build_anchors:
             self._build_anchor_plan(emb)
-        record = plan_cost(
-            plan, self.params, self.weights.config, self.layout, t,
-            state.active_block, self.visual_mask_counts,
-        )
+        record = plan_cost(plan, self.params, self.weights.config, self.layout,
+                           t, state.active_block)
         if self.plan is not None:
             record.anchor_digest = self.plan.digest()
         return logits, record
 
     def _build_anchor_plan(self, emb) -> None:
         """Proxy-score each group's first layer from the states a full sweep
-        just cached and cache the per-group anchor sets plus their additive
-        visibility masks and visible-key counts."""
+        just cached and fix the per-group anchor sets as self.plan."""
         cfg = self.weights.config
         lay = self.layout
         sample_idx = equidistant_indices(lay.total_length, self.params.sample_size)
@@ -253,11 +253,6 @@ class EngineSession:
         self.plan = select_anchors(
             proxies, lay, self.params.anchor_budgets, sample_indices=sample_idx
         )
-        self.visual_masks, self.visual_mask_counts = [], []
-        for g in range(cfg.num_groups):
-            vis = visual_key_visibility(lay, self.plan.unions[g])
-            self.visual_masks.append(visibility_to_additive(vis))
-            self.visual_mask_counts.append(int(vis.sum()))
 
     def _sweep(self, emb, block: int, plan: StepPlan):
         """One shallow-to-deep pass recomputing the live rows of each group.
@@ -292,7 +287,8 @@ class EngineSession:
             masks = [(None, None)]
             if plan.chunked and g >= plan.entry_visual:  # visual rows use the anchor mask
                 vis_sel = live < lay.visual_length
-                masks = [(~vis_sel, None), (vis_sel, self.visual_masks[g])]
+                mask = visibility_to_additive(visual_key_visibility(lay, self.plan.unions[g]))
+                masks = [(~vis_sel, None), (vis_sel, mask)]
             x = h[live]
             for l in cfg.group_layers(g):
                 transformer_layer(self.weights.layers[l], x, cos, sin,

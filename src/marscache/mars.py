@@ -92,6 +92,20 @@ def neighborhood(layout: SequenceLayout, n: int) -> np.ndarray:
     return np.arange(layout.frame_span(lo).start, layout.frame_span(hi).stop)
 
 
+def anchor_visibility_count(layout: SequenceLayout, budget: int) -> int:
+    """Visible-key count of visual_key_visibility for any anchor set with
+    exactly `budget` anchors in every frame: anchor rows see all L keys, and a
+    non-anchor row in frame n sees neighborhood(n) plus the anchors outside
+    it. Budget 0 gives plain frame-wise chunk attention."""
+    p = layout.patches_per_frame
+    count = 0
+    for n in range(1, layout.num_frames + 1):
+        nb = neighborhood(layout, n).size
+        outside = (layout.num_frames - nb // p) * budget
+        count += budget * layout.total_length + (p - budget) * (nb + outside)
+    return count
+
+
 def chunk_attention(Q: Matrix, K: Matrix, V: Matrix, layout: SequenceLayout) -> Matrix:
     """Frame-wise chunked attention for the visual segment: each visual query
     in frame n attends only to keys in neighborhood(n). Q rows correspond to

@@ -41,7 +41,9 @@ def ref_rotate(vec, pos, head_dim):
 
 
 def ref_forward(weights, embeddings, position_ids, mask=None):
-    """Loop-based forward pass mirroring the model contract. Returns logits."""
+    """Loop-based forward pass mirroring the model contract. Returns logits.
+    mask is one additive (T, T) mask for every layer, or a list with one
+    per layer."""
     cfg = weights.config
     t = embeddings.shape[0]
     heads, dk = cfg.num_heads, cfg.head_dim
@@ -51,8 +53,9 @@ def ref_forward(weights, embeddings, position_ids, mask=None):
             for j in range(t):
                 if j > i:
                     mask[i, j] = -np.inf
+    masks = mask if isinstance(mask, list) else [mask] * cfg.num_layers
     h = embeddings.astype(np.float64).copy()
-    for lw in weights.layers:
+    for lw, mask in zip(weights.layers, masks):
         xn = ref_rms_norm(h, lw.attn_norm)
         q_all = xn @ lw.wq
         k_all = xn @ lw.wk
@@ -94,7 +97,7 @@ def ref_batched_attention(q, k, v, mask, d_k):
     return np.matmul(probs, v).transpose(1, 0, 2).reshape(tq, h * d_k), probs
 
 
-def brute_force_visual_visibility(layout, anchors, allow_text_keys=False):
+def brute_force_visual_visibility(layout, anchors):
     """(V, L) boolean visibility for visual query rows, by per-pair rules."""
     v, total = layout.visual_length, layout.total_length
     p = layout.patches_per_frame
@@ -107,25 +110,22 @@ def brute_force_visual_visibility(layout, anchors, allow_text_keys=False):
             for key in range(total):
                 vis[q, key] = True
             continue
-        for key in range(total):
-            if key < v:
-                key_frame = key // p + 1
-                in_neighborhood = abs(key_frame - frame) <= 1 and 1 <= key_frame <= n_frames
-                if in_neighborhood or key in anchors:
-                    vis[q, key] = True
-            elif allow_text_keys:
+        for key in range(v):
+            key_frame = key // p + 1
+            in_neighborhood = abs(key_frame - frame) <= 1 and 1 <= key_frame <= n_frames
+            if in_neighborhood or key in anchors:
                 vis[q, key] = True
     return vis
 
 
 def brute_force_step_entries(kind, layout, model_config, decode_config, schedule=None,
-                             budgets=None, chunk_enabled=True, sample_size=32,
-                             allow_text_keys=False):
+                             budgets=None, sample_size=32):
     """Enumerate the per-step attention plan of an engine and count visible
     (query, key) pairs layer by layer. Independent of the engine and of the
     analysis module's closed forms."""
     total = layout.total_length
     v = layout.visual_length
+    p = layout.patches_per_frame
     nl = model_config.num_layers
     per_block = decode_config.steps_per_block()
     step_block = []
@@ -133,7 +133,16 @@ def brute_force_step_entries(kind, layout, model_config, decode_config, schedule
         step_block += [b] * n
 
     if budgets is not None:
-        budgets = [layout.patches_per_frame if k == "full" else int(k) for k in budgets]
+        # Anchor plan structure: exactly k anchors per frame, here the first
+        # k of each frame. chunked[g] counts group g's visible (visual query,
+        # key) pairs.
+        budgets = [p if k == "full" else int(k) for k in budgets]
+        chunked = [
+            int(brute_force_visual_visibility(
+                layout, [fr * p + i for fr in range(layout.num_frames) for i in range(k)]
+            ).sum())
+            for k in budgets
+        ]
 
     counts = []
     block_first_steps = set()
@@ -164,31 +173,9 @@ def brute_force_step_entries(kind, layout, model_config, decode_config, schedule
             layers = len(model_config.group_layers(g))
             vis_due = any(t % schedule.tau_visual[gg] == 0 for gg in range(g + 1))
             text_due = any(t % schedule.tau_text[gg] == 0 for gg in range(g + 1))
-            live_full = blk + (text_rows if text_due else 0)
-            layer_entries = 0
-            if vis_due and chunk_enabled:
-                # Anchor plan structure: exactly budgets[g] anchors per frame.
-                k = budgets[g]
-                vis_mask = np.zeros((v, total), dtype=bool)
-                p = layout.patches_per_frame
-                anchor_cols = []
-                for fr in range(layout.num_frames):
-                    anchor_cols += list(range(fr * p, fr * p + k))
-                for q in range(v):
-                    frame = q // p
-                    if q % p < k:
-                        vis_mask[q, :] = True
-                        continue
-                    lo = max(frame - 1, 0) * p
-                    hi = min(frame + 1, layout.num_frames - 1) * p + p
-                    vis_mask[q, lo:hi] = True
-                    vis_mask[q, anchor_cols] = True
-                    if allow_text_keys:
-                        vis_mask[q, v:] = True
-                layer_entries += int(vis_mask.sum())
-            elif vis_due:
-                live_full += v
-            layer_entries += live_full * total
+            layer_entries = (blk + (text_rows if text_due else 0)) * total
+            if vis_due:
+                layer_entries += chunked[g]
             step_total += layers * layer_entries
         counts.append(step_total)
     return counts

@@ -19,7 +19,8 @@ from marscache import (
     relocate_high_norm,
     visibility_frequency,
 )
-from marscache.analysis import anchor_visibility_count, decode_drift, drift
+from marscache.analysis import decode_drift, drift
+from marscache.mars import anchor_visibility_count
 from reference import brute_force_step_entries
 
 SMALL = ModelConfig(

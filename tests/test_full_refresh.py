@@ -3,8 +3,10 @@ check them against the model's plain forward pass, which runs the same
 transformer layer without the caches: a vanilla decode step by step, and the
 anchor plan mars fixes at step 1 against proxies scored from forward's
 activations. Since that layer code is shared, each engine's first step is
-also checked against the loop-based oracle in reference.py. The engines
-reject causal models, so every case here is bidirectional."""
+also checked against the loop-based oracle in reference.py, and so is a
+chunked step, whose visual rows see only what each group's anchor plan lets
+them. The engines reject causal models, so every case here is
+bidirectional."""
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from marscache import (
     select_anchors,
 )
 from marscache.diffusion import DiffusionState, assemble_embeddings
+from marscache.engines import StepPlan, step_plan
 from marscache.mars import equidistant_indices
 from marscache.model import apply_rotary, rms_norm, rotary_phases, split_heads
 
@@ -185,4 +188,52 @@ def test_step_one_logits_equal_loop_reference(kind):
     )
     span = layout.block_span(0)
     ref = ref_forward(weights, emb, layout.position_ids)[span.start : span.stop]
+    assert np.max(np.abs(logits - ref)) <= 1e-10
+
+
+def test_chunked_step_logits_equal_loop_reference():
+    # Both groups refresh every step, so step 2 recomputes every row from
+    # group 0 with visual rows under each group's own anchor mask; the
+    # budgets differ by group, and so do the anchor sets. Group 1 has two
+    # layers, so its mask reaches the active rows through the last layer's
+    # keys and values.
+    from reference import brute_force_visual_visibility, ref_forward
+
+    model = ModelConfig(
+        num_layers=3, num_heads=2, model_dim=16, head_dim=8, vocab_size=32,
+        group_boundaries=(0, 1),
+    )
+    layout = default_layout(4, 4, 4, 8, 8, vocab_size=model.vocab_size)
+    weights = init_weights(model, SEED)
+    work = make_workload(layout, model, SEED)
+    params = EngineParams(
+        kind="mars", schedule=RefreshSchedule.uniform_modality((1, 1)),
+        anchor_budgets=(2, 1), sample_size=8,
+    )
+    assert step_plan(params, 2, False) == StepPlan(0, 0, chunked=True)
+    session = make_engine(
+        params, weights, layout, work.visual_embeddings, work.prompt_tokens
+    )
+    state = DiffusionState(
+        token_ids=np.full(layout.generation_length, layout.mask_token_id),
+        mask_flags=np.ones(layout.generation_length, dtype=bool),
+        active_block=0,
+    )
+    session.step(1, state)
+    state.token_ids[:2] = (3, 5)
+    state.mask_flags[:2] = False
+    logits, _ = session.step(2, state)
+
+    masks = []
+    for g in range(model.num_groups):
+        mask = np.zeros((layout.total_length, layout.total_length))
+        vis = brute_force_visual_visibility(layout, session.plan.unions[g])
+        mask[: layout.visual_length][~vis] = -np.inf
+        masks += [mask] * len(model.group_layers(g))
+    emb = assemble_embeddings(
+        weights, layout, work.visual_embeddings, work.prompt_tokens, state.token_ids
+    )
+    span = layout.block_span(0)
+    ref = ref_forward(weights, emb, layout.position_ids, masks)[span.start : span.stop]
+    assert session.plan.unions[0] != session.plan.unions[1]
     assert np.max(np.abs(logits - ref)) <= 1e-10

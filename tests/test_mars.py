@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marscache import (
     DecodeConfig,
@@ -23,8 +25,7 @@ from marscache import (
     select_anchors,
     validate_schedule,
 )
-from marscache.analysis import anchor_visibility_count
-from marscache.mars import equidistant_indices, visual_key_visibility
+from marscache.mars import anchor_visibility_count, equidistant_indices, visual_key_visibility
 from reference import brute_force_visual_visibility
 
 SMALL = ModelConfig(
@@ -105,10 +106,27 @@ class TestChunkAttention:
         lay = default_layout()  # N=8, P=16
         assert anchor_visibility_count(lay, 0) == 2 * 16 * 32 + 6 * 16 * 48 == 5632
 
-    def test_entry_count_matches_mask_enumeration(self):
-        lay = default_layout()
-        vis = brute_force_visual_visibility(lay, anchors=())
-        assert int(vis[:, : lay.visual_length].sum()) == anchor_visibility_count(lay, 0)
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_entry_count_matches_mask_enumeration(self, data):
+        # The closed form must hold for every anchor set with exactly k
+        # anchors per frame, whichever patches step 1 picks.
+        patches = data.draw(st.integers(1, 5), label="patches")
+        lay = default_layout(
+            num_frames=data.draw(st.integers(1, 5), label="frames"),
+            patches_per_frame=patches,
+            prompt_length=data.draw(st.integers(1, 3), label="prompt"),
+            generation_length=2, block_length=2,
+        )
+        k = data.draw(st.integers(0, patches), label="budget")
+        anchors = [
+            lay.frame_span(n).start + i
+            for n in range(1, lay.num_frames + 1)
+            for i in data.draw(st.permutations(range(patches)), label=f"frame {n}")[:k]
+        ]
+        vis = brute_force_visual_visibility(lay, anchors)
+        assert np.array_equal(visual_key_visibility(lay, anchors), vis)
+        assert int(vis.sum()) == anchor_visibility_count(lay, k)
 
     def test_locality_is_observable(self):
         # Dominant key in frame 1 is invisible to a frame-4 query under
@@ -432,9 +450,12 @@ class TestEngines:
             anchor_budgets=(3, 2, 2, 1),
         )
         decode(mars, lay, dc)
-        for g in range(SMALL.num_groups):
-            ref = brute_force_visual_visibility(lay, mars.plan.unions[g])
-            assert mars.visual_mask_counts[g] == int(ref.sum())
+        # The sweep builds group g's mask from unions[g]; plan_cost charges
+        # the closed form at g's budget.
+        for g, k in enumerate(mars.plan.budgets):
+            vis = visual_key_visibility(lay, mars.plan.unions[g])
+            assert np.array_equal(vis, brute_force_visual_visibility(lay, mars.plan.unions[g]))
+            assert int(vis.sum()) == anchor_visibility_count(lay, k)
 
     def test_mars_requires_schedule(self):
         with pytest.raises(ValueError):
