@@ -42,7 +42,6 @@ from .mars import (
     neighborhood,
     proxy_scores,
     refresh_due,
-    relocate_anchors,
     select_anchors,
     validate_schedule,
 )

@@ -1,8 +1,8 @@
 """One decode engine session for every engine kind, driven by a per-step plan.
 
 Each step, the refresh policy `step_plan` decides which context rows are
-recomputed, from which layer group, and whether refreshed visual rows use the
-chunked anchor mask:
+recomputed, from which layer group, and whether refreshed visual rows attend
+over their chunked key sets:
 
 - vanilla recomputes everything at every step;
 - dual_cache recomputes everything at the first step of each block and only
@@ -15,10 +15,11 @@ Every plan runs the same shallow-to-deep sweep, in which the set of live
 (recomputed) rows grows monotonically with depth; everything not live is
 served from the per-layer key/value caches and group-boundary states. A full
 refresh is the plan whose rows are all live from group 0. A chunked plan
-builds each group's visual mask from the anchor plan when the sweep reaches
-that group. `plan_cost` turns a plan into the step's record (score entries,
-recomputed rows, refreshed groups); the analytic cost model calls it with
-the same arguments."""
+derives each group's key sets from the anchor plan when the sweep reaches
+that group, so a non-anchor visual row scores only its frame's neighborhood
+and the anchors. `plan_cost` turns a plan into the step's record (score
+entries, recomputed rows, refreshed groups); the analytic cost model calls
+it with the same arguments."""
 
 from __future__ import annotations
 
@@ -33,13 +34,12 @@ from .mars import (
     AnchorPlan,
     RefreshSchedule,
     anchor_visibility_count,
+    chunk_key_sets,
     equidistant_indices,
     proxy_scores,
     refresh_due,
     resolve_budgets,
     select_anchors,
-    visibility_to_additive,
-    visual_key_visibility,
 )
 from .model import (
     ModelConfig,
@@ -108,7 +108,7 @@ class StepPlan:
 
     entry_visual: int | None
     entry_text: int | None
-    chunked: bool = False  # refreshed visual rows attend under the anchor mask
+    chunked: bool = False  # refreshed visual rows attend over their key sets
     build_anchors: bool = False  # fix the anchor plan from this step
 
 
@@ -176,7 +176,7 @@ class EngineSession:
     """Decode session for any engine kind. Reusable: step 1 of every decode
     is a full refresh that rebuilds every cache and, for mars, the anchor
     plan, the session's only chunk state: a chunked sweep builds each
-    group's visibility mask from the plan when it reaches that group."""
+    group's key sets from the plan when it reaches that group."""
 
     def __init__(
         self,
@@ -236,13 +236,14 @@ class EngineSession:
         lay = self.layout
         sample_idx = equidistant_indices(lay.total_length, self.params.sample_size)
         vis_idx = np.arange(lay.visual_length)
+        cos, sin = self.cos[sample_idx], self.sin[sample_idx]
         proxies = []
         for g in range(cfg.num_groups):
             l0 = cfg.group_boundaries[g]
             lw = self.weights.layers[l0]
-            xn = rms_norm(emb if g == 0 else self.group_inputs[g], lw.attn_norm)
+            x = (emb if g == 0 else self.group_inputs[g])[sample_idx]
             q = apply_rotary(
-                split_heads(xn @ lw.wq, cfg.num_heads), self.cos, self.sin
+                split_heads(rms_norm(x, lw.attn_norm) @ lw.wq, cfg.num_heads), cos, sin
             )
             k = self.cache_k[l0]
             per_head = [
@@ -284,15 +285,15 @@ class EngineSession:
                     live = np.union1d(live, rows)
 
             cos, sin = self.cos[live], self.sin[live]
-            masks = [(None, None)]
-            if plan.chunked and g >= plan.entry_visual:  # visual rows use the anchor mask
-                vis_sel = live < lay.visual_length
-                mask = visibility_to_additive(visual_key_visibility(lay, self.plan.unions[g]))
-                masks = [(~vis_sel, None), (vis_sel, mask)]
+            key_sets = None
+            if plan.chunked and g >= plan.entry_visual:
+                # Every visual row is live, and live is sorted, so x's first
+                # V rows are the visual segment.
+                key_sets = chunk_key_sets(lay, self.plan.unions[g], live.size)
             x = h[live]
             for l in cfg.group_layers(g):
                 transformer_layer(self.weights.layers[l], x, cos, sin,
-                                  self.cache_k[l], self.cache_v[l], live, masks)
+                                  self.cache_k[l], self.cache_v[l], live, key_sets)
             h[live] = x
             if g + 1 < cfg.num_groups:
                 self.group_inputs[g + 1][live] = x

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NEG_INF, Matrix, softmax_rows
+from .core import Matrix, softmax_rows
 from .diffusion import SequenceLayout
-from .model import attention
+from .model import gathered_attention
 
 VISUAL = "visual"
 TEXT = "text_context"
@@ -106,23 +106,39 @@ def anchor_visibility_count(layout: SequenceLayout, budget: int) -> int:
     return count
 
 
+def chunk_key_sets(layout: SequenceLayout, anchors, num_rows: int) -> list[tuple]:
+    """Key sets of chunked attention over num_rows query rows, the visual
+    segment first, as (query rows, key indices) pairs: the anchor rows and
+    every non-visual row attend over all keys (slice(None)); the non-anchor
+    rows of frame n attend over neighborhood(n) plus the anchors. Pairs with
+    no query rows are left out, so every row lies in exactly one pair."""
+    v = layout.visual_length
+    anchor_idx = np.unique(np.asarray(tuple(anchors), dtype=np.int64))
+    if anchor_idx.size and (anchor_idx[0] < 0 or anchor_idx[-1] >= v):
+        raise ValueError("anchors must be visual indices")
+    is_anchor = np.zeros(v, dtype=bool)
+    is_anchor[anchor_idx] = True
+    full = np.concatenate((anchor_idx, np.arange(v, num_rows)))
+    sets = [(full, slice(None))] if full.size else []
+    for n in range(1, layout.num_frames + 1):
+        span = layout.frame_span(n)
+        rows = np.flatnonzero(~is_anchor[span.start : span.stop]) + span.start
+        if rows.size:
+            sets.append((rows, np.union1d(neighborhood(layout, n), anchor_idx)))
+    return sets
+
+
 def chunk_attention(Q: Matrix, K: Matrix, V: Matrix, layout: SequenceLayout) -> Matrix:
     """Frame-wise chunked attention for the visual segment: each visual query
-    in frame n attends only to keys in neighborhood(n). Q rows correspond to
-    visual positions; K and V cover the full sequence. Output has one row per
-    visual position."""
+    in frame n attends only to keys in neighborhood(n), the engine's key sets
+    with no anchors. Q rows correspond to visual positions; K and V cover the
+    full sequence, V as wide as Q. Output has one row per visual position."""
     if Q.shape[0] != layout.visual_length:
         raise ValueError(
             f"Q rows {Q.shape[0]} != visual length {layout.visual_length}"
         )
-    out = np.empty((layout.visual_length, V.shape[1]))
-    for n in range(1, layout.num_frames + 1):
-        span = layout.frame_span(n)
-        nb = neighborhood(layout, n)
-        out[span.start : span.stop] = attention(
-            Q[span.start : span.stop], K[nb], V[nb]
-        )
-    return out
+    key_sets = chunk_key_sets(layout, (), layout.visual_length)
+    return gathered_attention(Q[None], K[None], V[None], key_sets, Q.shape[1])
 
 
 def equidistant_indices(total: int, count: int) -> np.ndarray:
@@ -135,21 +151,20 @@ def equidistant_indices(total: int, count: int) -> np.ndarray:
 def proxy_scores(
     Q: Matrix, K: Matrix, sample_indices, visual_indices
 ) -> Matrix:
-    """Low-rank proxy attention: rows are softmax(Q[sampled] K[visual]^T/sqrt(d_k))
+    """Low-rank proxy attention: Q holds the queries of the sampled rows, in
+    sample order, and the rows of the result are softmax(Q K[visual]^T/sqrt(d_k))
     over the visual keys, then entries where a sampled query attends to itself
     are zeroed (debiasing). Shape |samples| x |visual|."""
     sample_indices = np.asarray(sample_indices, dtype=np.int64)
     visual_indices = np.asarray(visual_indices, dtype=np.int64)
     if sample_indices.size == 0:
         raise ValueError("sample set must be non-empty")
+    if Q.shape[0] != sample_indices.size:
+        raise ValueError(f"{Q.shape[0]} queries for {sample_indices.size} samples")
     d_k = Q.shape[1]
-    scores = Q[sample_indices] @ K[visual_indices].T / np.sqrt(d_k)
+    scores = Q @ K[visual_indices].T / np.sqrt(d_k)
     probs = softmax_rows(scores)
-    col_of = {int(v): j for j, v in enumerate(visual_indices)}
-    for i, s in enumerate(sample_indices):
-        j = col_of.get(int(s))
-        if j is not None:
-            probs[i, j] = 0.0
+    probs[sample_indices[:, None] == visual_indices] = 0.0
     return probs
 
 
@@ -231,30 +246,14 @@ def select_anchors(
 
 
 def visual_key_visibility(layout: SequenceLayout, anchors) -> np.ndarray:
-    """Boolean key-visibility matrix for visual query rows, shape (V, L):
-    anchor rows see everything; non-anchor rows in frame n see
+    """Boolean key-visibility matrix for visual query rows, shape (V, L), from
+    chunk_key_sets: anchor rows see everything; non-anchor rows in frame n see
     neighborhood(n) plus the anchor set."""
-    v, total = layout.visual_length, layout.total_length
-    anchor_set = np.zeros(v, dtype=bool)
-    anchor_idx = np.asarray(sorted(anchors), dtype=np.int64)
-    if anchor_idx.size:
-        if anchor_idx.min() < 0 or anchor_idx.max() >= v:
-            raise ValueError("anchors must be visual indices")
-        anchor_set[anchor_idx] = True
-    vis = np.zeros((v, total), dtype=bool)
-    for n in range(1, layout.num_frames + 1):
-        span = layout.frame_span(n)
-        vis[span.start : span.stop, neighborhood(layout, n)] = True
-    vis[:, anchor_idx] = True
-    vis[anchor_set, :] = True
+    vis = np.zeros((layout.visual_length, layout.total_length), dtype=bool)
+    all_keys = np.arange(layout.total_length)
+    for rows, keys in chunk_key_sets(layout, anchors, layout.visual_length):
+        vis[np.ix_(rows, all_keys[keys])] = True
     return vis
-
-
-def visibility_to_additive(vis: np.ndarray) -> Matrix:
-    """Boolean visibility -> additive {0, -inf} mask."""
-    mask = np.zeros(vis.shape)
-    mask[~vis] = NEG_INF
-    return mask
 
 
 def anchor_augmented_attention(
@@ -263,30 +262,10 @@ def anchor_augmented_attention(
     """Full-sequence attention under the anchor-augmented visibility rule:
     text-context and active-block queries attend everywhere; anchor visual
     queries attend everywhere; non-anchor visual queries in frame n attend to
-    neighborhood(n) plus the anchors. Q, K, V cover all positions."""
+    neighborhood(n) plus the anchors: the engine's key sets, attended through
+    its gathered attention. Q, K, V cover all positions, V as wide as Q."""
     total = layout.total_length
     if Q.shape[0] != total:
         raise ValueError(f"Q rows {Q.shape[0]} != sequence length {total}")
-    vis = np.ones((total, total), dtype=bool)
-    vis[: layout.visual_length] = visual_key_visibility(layout, anchors)
-    return attention(Q, K, V, visibility_to_additive(vis))
-
-
-def relocate_anchors(layout: SequenceLayout, anchors) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation moving each frame's anchors (in index order) to the front
-    of the visual segment, non-anchors following in original order; prompt and
-    response rows are untouched. Position ids are carried by the caller, so
-    applying the permutation leaves attention outputs unchanged up to the
-    returned inverse. Returns (permutation, inverse) as index arrays such that
-    reordered[i] = original[permutation[i]]."""
-    anchor_idx = sorted(int(a) for a in anchors)
-    if any(a < 0 or a >= layout.visual_length for a in anchor_idx):
-        raise ValueError("anchors must be visual indices")
-    rest = [i for i in range(layout.visual_length) if i not in set(anchor_idx)]
-    perm = np.array(
-        anchor_idx + rest + list(range(layout.visual_length, layout.total_length)),
-        dtype=np.int64,
-    )
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    return perm, inv
+    key_sets = chunk_key_sets(layout, anchors, total)
+    return gathered_attention(Q[None], K[None], V[None], key_sets, Q.shape[1])

@@ -235,6 +235,18 @@ def multi_head_attention(
     return out
 
 
+def gathered_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, key_sets,
+                       d_k: int) -> np.ndarray:
+    """Per-head attention in which each (query rows, key indices) pair of
+    key_sets attends over its own keys only, gathered from k and v; the pairs
+    must cover every query row once. Shapes as in multi_head_attention."""
+    out = np.empty((q.shape[1], q.shape[0] * d_k))
+    for rows, idx in key_sets:
+        out[rows] = multi_head_attention(q[:, rows, :], k[:, idx, :], v[:, idx, :],
+                                         None, d_k)
+    return out
+
+
 @dataclass
 class LayerActivations:
     """Per-layer states exposed by forward.
@@ -250,23 +262,23 @@ class LayerActivations:
 
 
 def transformer_layer(lw: LayerWeights, x: Matrix, cos, sin, keys, values, rows,
-                      masks: list, capture: list | None = None) -> Matrix:
+                      key_sets=None, mask: Matrix | None = None,
+                      capture: list | None = None) -> Matrix:
     """One pre-norm block over the rows x, (R, D), at rotary phases cos, sin.
     Writes their keys and values at sequence rows `rows` of the layer's
-    (H, T, d_k) buffers and attends over the whole buffers; masks pairs
-    query-row selectors with additive masks, [(None, mask)] covering every
-    row. Updates x in place and returns it."""
+    (H, T, d_k) buffers and attends over the whole buffers, under the additive
+    (R, T) mask if one is given (forward's causal mode). key_sets, if given,
+    pairs query rows of x with the key indices each attends over instead, as
+    in gathered_attention. Updates x in place and returns it."""
     num_heads, _, d_k = keys.shape
     xn = rms_norm(x, lw.attn_norm)
     q = apply_rotary(split_heads(xn @ lw.wq, num_heads), cos, sin)
     keys[:, rows, :] = apply_rotary(split_heads(xn @ lw.wk, num_heads), cos, sin)
     values[:, rows, :] = split_heads(xn @ lw.wv, num_heads)
-    if masks[0][0] is None:
-        attn = multi_head_attention(q, keys, values, masks[0][1], d_k, capture)
+    if key_sets is None:
+        attn = multi_head_attention(q, keys, values, mask, d_k, capture)
     else:
-        attn = np.empty((x.shape[0], num_heads * d_k))
-        for sel, mask in masks:
-            attn[sel] = multi_head_attention(q[:, sel, :], keys, values, mask, d_k, capture)
+        attn = gathered_attention(q, keys, values, key_sets, d_k)
     x += attn @ lw.wo
     # The FFN holds one (R, 4D) array, with the attention temporaries
     # released first: a layer's transient heap then stays under glibc's trim
@@ -309,7 +321,7 @@ def forward(
         acts.keys.append(np.empty((cfg.num_heads, t, cfg.head_dim)))
         acts.values.append(np.empty_like(acts.keys[-1]))
         transformer_layer(lw, h, cos, sin, acts.keys[-1], acts.values[-1],
-                          slice(None), [(None, mask)], acts.attention_probs)
+                          slice(None), mask=mask, capture=acts.attention_probs)
     acts.hidden.append(h.copy())
     logits = rms_norm(h, weights.final_norm) @ weights.head
     return logits, acts

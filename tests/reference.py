@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 
+from marscache.core import NEG_INF
+
 
 def ref_softmax(row):
     m = max(row)
@@ -179,3 +181,31 @@ def brute_force_step_entries(kind, layout, model_config, decode_config, schedule
             step_total += layers * layer_entries
         counts.append(step_total)
     return counts
+
+
+def visibility_to_additive(vis):
+    """Boolean visibility -> additive {0, -inf} mask: the dense form of an
+    attention plan, which the gathered key sets are checked against."""
+    mask = np.zeros(vis.shape)
+    mask[~vis] = NEG_INF
+    return mask
+
+
+def relocate_anchors(layout, anchors):
+    """Permutation moving each frame's anchors (in index order) to the front
+    of the visual segment, non-anchors following in original order; prompt and
+    response rows are untouched. Position ids are carried by the caller, so
+    applying the permutation leaves attention outputs unchanged up to the
+    returned inverse. Returns (permutation, inverse) as index arrays such that
+    reordered[i] = original[permutation[i]]."""
+    anchor_idx = sorted(int(a) for a in anchors)
+    if any(a < 0 or a >= layout.visual_length for a in anchor_idx):
+        raise ValueError("anchors must be visual indices")
+    rest = [i for i in range(layout.visual_length) if i not in set(anchor_idx)]
+    perm = np.array(
+        anchor_idx + rest + list(range(layout.visual_length, layout.total_length)),
+        dtype=np.int64,
+    )
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    return perm, inv

@@ -1,18 +1,26 @@
 """multi_head_attention, which runs one head at a time in place on a single
 score buffer, against the batched all-heads formula in
 reference.ref_batched_attention: equal bit for bit, inputs left alone, and
-at most one (Tq, Tk) score buffer allocated per call."""
+at most one (Tq, Tk) score buffer allocated per call. The chunked sweep's
+gathered attention, in which each query row scores only its key set, is
+checked against the dense additive-mask form of the same plan."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from marscache.core import NEG_INF, seeded_stream, softmax_rows, softmax_rows_inplace
-from marscache.mars import visibility_to_additive, visual_key_visibility
-from marscache.model import multi_head_attention
+from marscache.mars import chunk_key_sets
+from marscache.model import gathered_attention, multi_head_attention
 from marscache.workload import default_layout
-from reference import ref_batched_attention
+from reference import (
+    brute_force_visual_visibility,
+    ref_batched_attention,
+    visibility_to_additive,
+)
 
 
 def qkv(seed, h, tq, tk, d_k):
@@ -52,18 +60,55 @@ def test_equals_batched_oracle(h, tq, tk, d_k, masked):
     check_against_oracle(q, k, v, mask, d_k)
 
 
+def check_gathered_against_dense(lay, anchors, seed, h=2, d_k=8):
+    """The sweep's chunked plan over every row of lay, visual rows first:
+    gathered key sets against the dense additive mask, which hides from each
+    visual row the keys the brute-force visibility rule hides."""
+    total = lay.total_length
+    key_sets = chunk_key_sets(lay, anchors, total)
+    rows = np.sort(np.concatenate([r for r, _ in key_sets]))
+    assert np.array_equal(rows, np.arange(total))  # every row in one set
+    mask = np.zeros((total, total))
+    mask[: lay.visual_length] = visibility_to_additive(
+        brute_force_visual_visibility(lay, anchors))
+    q, k, v = qkv(seed, h, total, total, d_k)
+    expect, _ = ref_batched_attention(q, k, v, mask, d_k)
+    out = gathered_attention(q, k, v, key_sets, d_k)
+    assert np.max(np.abs(out - expect)) <= 1e-12
+
+
 def test_equals_batched_oracle_on_the_chunked_split():
-    # The sweep's chunked plan: non-visual rows attend unmasked, visual rows
-    # under the additive anchor mask, both over the whole key buffer.
+    # Non-visual and anchor rows attend over all keys, the other visual rows
+    # over their frame's neighborhood plus the anchors.
     lay = default_layout(num_frames=4, patches_per_frame=8, prompt_length=6,
                          generation_length=16, block_length=8, vocab_size=64)
-    anchors = [0, 3, 9, 17, 18, 30]
-    mask = visibility_to_additive(visual_key_visibility(lay, anchors))
-    total, d_k = lay.total_length, 8
-    q, k, v = qkv(3, 2, total, total, d_k)
-    vis_sel = np.arange(total) < lay.visual_length
-    check_against_oracle(q[:, vis_sel, :], k, v, mask, d_k)
-    check_against_oracle(q[:, ~vis_sel, :], k, v, None, d_k)
+    check_gathered_against_dense(lay, [0, 3, 9, 17, 18, 30], seed=3)
+
+
+@pytest.mark.parametrize("bad", [-1, 32])
+def test_key_sets_reject_non_visual_anchors(bad):
+    lay = default_layout(num_frames=4, patches_per_frame=8)
+    with pytest.raises(ValueError, match="visual indices"):
+        chunk_key_sets(lay, [0, bad], lay.total_length)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames=st.integers(1, 5), patches=st.integers(1, 5),
+       prompt=st.integers(1, 3), budget=st.integers(0, 5), seed=st.integers(0, 99))
+@example(frames=1, patches=3, prompt=1, budget=1, seed=0)  # one frame
+@example(frames=3, patches=2, prompt=2, budget=2, seed=0)  # all-anchor frames
+@example(frames=2, patches=4, prompt=1, budget=0, seed=0)  # no anchors
+def test_gathered_key_sets_equal_dense_mask(frames, patches, prompt, budget, seed):
+    lay = default_layout(num_frames=frames, patches_per_frame=patches,
+                         prompt_length=prompt, generation_length=2, block_length=2)
+    k = min(budget, patches)
+    stream = seeded_stream(seed, "anchors")
+    anchors = [
+        lay.frame_span(n).start + int(i)
+        for n in range(1, frames + 1)
+        for i in stream.child(f"frame {n}").uniform(size=patches).argsort()[:k]
+    ]
+    check_gathered_against_dense(lay, anchors, seed)
 
 
 @pytest.mark.parametrize("masked", [False, True])

@@ -117,7 +117,8 @@ def anchors_from_forward(weights, layout, work, state, params):
         q = apply_rotary(split_heads(xn @ lw.wq, cfg.num_heads), cos, sin)
         k = acts.keys[l0]
         per_head = [
-            proxy_scores(q[h], k[h], sample_idx, vis_idx) for h in range(cfg.num_heads)
+            proxy_scores(q[h][sample_idx], k[h], sample_idx, vis_idx)
+            for h in range(cfg.num_heads)
         ]
         proxies.append(np.mean(per_head, axis=0))
     return select_anchors(

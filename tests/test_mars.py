@@ -20,13 +20,13 @@ from marscache import (
     neighborhood,
     proxy_scores,
     refresh_due,
-    relocate_anchors,
     seeded_stream,
     select_anchors,
     validate_schedule,
 )
+from marscache import engines, model
 from marscache.mars import anchor_visibility_count, equidistant_indices, visual_key_visibility
-from reference import brute_force_visual_visibility
+from reference import brute_force_visual_visibility, relocate_anchors
 
 SMALL = ModelConfig(
     num_layers=4, num_heads=2, model_dim=32, head_dim=16, vocab_size=64,
@@ -153,7 +153,7 @@ class TestProxyScores:
         q = s.normal(size=(lay.total_length, 8))
         k = s.normal(size=(lay.total_length, 8))
         samples = equidistant_indices(lay.total_length, 32)
-        probs = proxy_scores(q, k, samples, np.arange(lay.visual_length))
+        probs = proxy_scores(q[samples], k, samples, np.arange(lay.visual_length))
         assert probs.shape == (32, 128)
 
     def test_rows_sum_to_one_before_debias_then_at_most_one(self):
@@ -162,7 +162,7 @@ class TestProxyScores:
         q = s.normal(size=(lay.total_length, 8))
         k = s.normal(size=(lay.total_length, 8))
         samples = equidistant_indices(lay.total_length, 16)
-        probs = proxy_scores(q, k, samples, np.arange(lay.visual_length))
+        probs = proxy_scores(q[samples], k, samples, np.arange(lay.visual_length))
         sums = probs.sum(axis=1)
         assert np.all(sums <= 1.0 + 1e-12)
         # Rows sampled inside the visual segment lose exactly their own entry.
@@ -179,8 +179,12 @@ class TestProxyScores:
         q = s.normal(size=(lay.total_length, 8))
         k = s.normal(size=(lay.total_length, 8))
         samples = np.array([150, 180, 200])  # all in prompt/response
-        probs = proxy_scores(q, k, samples, np.arange(lay.visual_length))
+        probs = proxy_scores(q[samples], k, samples, np.arange(lay.visual_length))
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_queries_are_the_sampled_rows(self):
+        with pytest.raises(ValueError, match="3 queries for 2 samples"):
+            proxy_scores(np.zeros((3, 2)), np.zeros((4, 2)), [0, 2], [0, 1])
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -456,6 +460,35 @@ class TestEngines:
             vis = visual_key_visibility(lay, mars.plan.unions[g])
             assert np.array_equal(vis, brute_force_visual_visibility(lay, mars.plan.unions[g]))
             assert int(vis.sum()) == anchor_visibility_count(lay, k)
+
+    def test_computed_scores_equal_recorded_entries(self, monkeypatch):
+        # Every score the engine computes is one it records: chunked visual
+        # rows score only their key sets, not all L keys under a mask.
+        lay = small_layout()
+        dc = DecodeConfig(32, 16, 16, tokens_per_step=2)
+        mars, _, _ = build_session(
+            "mars", lay, SMALL,
+            schedule=RefreshSchedule(tau_text=(8, 4, 2, 1), tau_visual=(16, 8, 4, 2)),
+            anchor_budgets=(3, 2, 1, 0),
+        )
+        scores = []
+        attention_of_model = model.multi_head_attention
+        proxies_of_engine = engines.proxy_scores
+
+        def counted_attention(q, k, *args, **kwargs):
+            scores.append(q.shape[0] * q.shape[1] * k.shape[1])
+            return attention_of_model(q, k, *args, **kwargs)
+
+        def counted_proxies(q, k, sample_indices, visual_indices):
+            # One call per head, each scoring every sample against every patch.
+            scores.append(len(sample_indices) * len(visual_indices))
+            return proxies_of_engine(q, k, sample_indices, visual_indices)
+
+        monkeypatch.setattr(model, "multi_head_attention", counted_attention)
+        monkeypatch.setattr(engines, "proxy_scores", counted_proxies)
+        _, trace = decode(mars, lay, dc)
+        assert any(rec.refreshed_visual for rec in trace.steps[1:])
+        assert sum(scores) == SMALL.num_heads * trace.total_entries()
 
     def test_mars_requires_schedule(self):
         with pytest.raises(ValueError):

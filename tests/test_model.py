@@ -169,7 +169,7 @@ def test_layer_holds_one_ffn_array_at_a_time():
     values = np.empty_like(keys)
     tracemalloc.start()
     try:
-        transformer_layer(w.layers[0], x, cos, sin, keys, values, slice(None), [(None, None)])
+        transformer_layer(w.layers[0], x, cos, sin, keys, values, slice(None))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
