@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import cosine_similarity
+from .core import cosine_similarity, softmax_rows_inplace
 from .diffusion import DecodeConfig, DecodeTrace, SequenceLayout, decode
 from .engines import EngineParams, make_engine, plan_cost, step_plan, validate_params
-from .model import ModelConfig, Weights, forward
+from .model import (ModelConfig, Weights, build_causal_mask, forward, layer_queries,
+                    rotary_phases)
 
 
 def visibility_frequency(length: int) -> np.ndarray:
@@ -151,10 +152,21 @@ def attention_entropy(probs_per_layer: list[np.ndarray]) -> list[float]:
 
 
 def entropy_profile(weights: Weights, embeddings, position_ids) -> list[float]:
-    """One forward pass with attention capture, reduced to per-layer mean
-    entropy. Reporting only; random init carries no directional claim."""
-    _, acts = forward(weights, embeddings, position_ids, capture_attention=True)
-    return attention_entropy(acts.attention_probs)
+    """Per-layer mean attention entropy of one forward pass, each layer's
+    (H, T, T) probabilities recomputed from forward's hidden[l] and keys[l].
+    Reporting only; random init carries no directional claim."""
+    cfg = weights.config
+    _, acts = forward(weights, embeddings, position_ids)
+    cos, sin = rotary_phases(position_ids, cfg.head_dim)
+    mask = build_causal_mask(len(embeddings)) if cfg.mask_mode == "causal" else None
+    probs = []
+    for lw, x, k in zip(weights.layers, acts.hidden, acts.keys):
+        s = np.matmul(layer_queries(lw, x, cos, sin, cfg.num_heads), k.transpose(0, 2, 1))
+        s /= np.sqrt(cfg.head_dim)
+        if mask is not None:
+            s += mask
+        probs.append(softmax_rows_inplace(s))
+    return attention_entropy(probs)
 
 
 # -----------------------------------------------------------------------------

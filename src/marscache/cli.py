@@ -40,7 +40,6 @@ DEFAULT_CONFIG = {
         "head_dim": 32,
         "vocab_size": 256,
         "groups": 4,
-        "mask_mode": "bidirectional",
     },
     "layout": {
         "num_frames": 8,
@@ -104,7 +103,6 @@ def build_model_config(cfg: dict) -> ModelConfig:
             head_dim=_require(m, "head_dim", int, "model"),
             vocab_size=_require(m, "vocab_size", int, "model"),
             group_boundaries=boundaries,
-            mask_mode=m.get("mask_mode", "bidirectional"),
         )
     except ValueError as e:
         raise ConfigError(f"model: {e}") from e
@@ -163,6 +161,14 @@ def _echo_config(cfg: dict, outdir: Path) -> None:
 def _validate(cfg: dict):
     """Raise ConfigError before any artifact is written; returns the model
     config, layout, decode config and engine params."""
+    for section, extra in (("model", ["group_boundaries"]), ("layout", []),
+                           ("decode", ["confidence_threshold"])):
+        given = cfg[section]
+        if not isinstance(given, dict):
+            raise ConfigError(f"{section}: expected an object, got {type(given).__name__}")
+        valid = [*DEFAULT_CONFIG[section], *extra]
+        if unknown := sorted(set(given) - set(valid)):
+            raise ConfigError(f"{section}: unknown keys {unknown}; valid: {', '.join(valid)}")
     model_cfg = build_model_config(cfg)
     layout = build_layout(cfg)
     decode_cfg = build_decode_config(cfg)

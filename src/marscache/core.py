@@ -1,6 +1,7 @@
 """Deterministic numerics substrate: float64 matrices, seeded splittable
-randomness, and masked row-softmax. Everything else in the package is built
-on these primitives, so they are deliberately small and strict."""
+randomness, and row-softmax in which -inf scores come out exactly 0.
+Everything else in the package is built on these primitives, so they are
+deliberately small and strict."""
 
 from __future__ import annotations
 
@@ -78,21 +79,12 @@ def as_matrix(data) -> Matrix:
     return m
 
 
-def softmax_rows(scores: Matrix, additive_mask: Matrix | None = None) -> Matrix:
-    """Row-wise softmax with optional additive {0, -inf} mask.
-
-    Masked positions come out exactly 0. A row with every position masked
-    raises FullyMaskedRowError rather than returning NaNs. Never mutates its
-    input: the rows are normalised in a copy.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    if additive_mask is None:
-        return softmax_rows_inplace(s.copy())
-    if additive_mask.shape != s.shape:
-        raise ValueError(
-            f"mask shape {additive_mask.shape} != scores shape {s.shape}"
-        )
-    return softmax_rows_inplace(s + additive_mask)
+def softmax_rows(scores: Matrix) -> Matrix:
+    """Row-wise softmax over the last axis, normalised in a copy, so the
+    input is never mutated. -inf entries (masked positions) come out exactly
+    0; a row that is all -inf raises FullyMaskedRowError rather than
+    returning NaNs."""
+    return softmax_rows_inplace(np.array(scores, dtype=np.float64))
 
 
 def softmax_rows_inplace(s: np.ndarray) -> np.ndarray:

@@ -44,10 +44,9 @@ from .mars import (
 from .model import (
     ModelConfig,
     Weights,
-    apply_rotary,
+    layer_queries,
     rms_norm,
     rotary_phases,
-    split_heads,
     transformer_layer,
 )
 
@@ -226,7 +225,7 @@ class EngineSession:
         record = plan_cost(plan, self.params, self.weights.config, self.layout,
                            t, state.active_block)
         if self.plan is not None:
-            record.anchor_digest = self.plan.digest()
+            record.anchor_digest = self.plan.digest
         return logits, record
 
     def _build_anchor_plan(self, emb) -> None:
@@ -242,9 +241,7 @@ class EngineSession:
             l0 = cfg.group_boundaries[g]
             lw = self.weights.layers[l0]
             x = (emb if g == 0 else self.group_inputs[g])[sample_idx]
-            q = apply_rotary(
-                split_heads(rms_norm(x, lw.attn_norm) @ lw.wq, cfg.num_heads), cos, sin
-            )
+            q = layer_queries(lw, x, cos, sin, cfg.num_heads)
             k = self.cache_k[l0]
             per_head = [
                 proxy_scores(q[head], k[head], sample_idx, vis_idx)

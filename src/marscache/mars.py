@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -132,13 +133,13 @@ def chunk_attention(Q: Matrix, K: Matrix, V: Matrix, layout: SequenceLayout) -> 
     """Frame-wise chunked attention for the visual segment: each visual query
     in frame n attends only to keys in neighborhood(n), the engine's key sets
     with no anchors. Q rows correspond to visual positions; K and V cover the
-    full sequence, V as wide as Q. Output has one row per visual position."""
+    full sequence. Output has one row per visual position."""
     if Q.shape[0] != layout.visual_length:
         raise ValueError(
             f"Q rows {Q.shape[0]} != visual length {layout.visual_length}"
         )
     key_sets = chunk_key_sets(layout, (), layout.visual_length)
-    return gathered_attention(Q[None], K[None], V[None], key_sets, Q.shape[1])
+    return gathered_attention(Q[None], K[None], V[None], key_sets)
 
 
 def equidistant_indices(total: int, count: int) -> np.ndarray:
@@ -181,6 +182,7 @@ class AnchorPlan:
     per_frame: tuple[tuple[tuple[int, ...], ...], ...]
     unions: tuple[tuple[int, ...], ...]
 
+    @cached_property
     def digest(self) -> str:
         blob = json.dumps(
             [list(self.sample_indices), list(self.budgets),
@@ -263,9 +265,9 @@ def anchor_augmented_attention(
     text-context and active-block queries attend everywhere; anchor visual
     queries attend everywhere; non-anchor visual queries in frame n attend to
     neighborhood(n) plus the anchors: the engine's key sets, attended through
-    its gathered attention. Q, K, V cover all positions, V as wide as Q."""
+    its gathered attention. Q, K, V cover all positions."""
     total = layout.total_length
     if Q.shape[0] != total:
         raise ValueError(f"Q rows {Q.shape[0]} != sequence length {total}")
     key_sets = chunk_key_sets(layout, anchors, total)
-    return gathered_attention(Q[None], K[None], V[None], key_sets, Q.shape[1])
+    return gathered_attention(Q[None], K[None], V[None], key_sets)

@@ -13,14 +13,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import (
-    NEG_INF,
-    Matrix,
-    RandomStream,
-    seeded_stream,
-    softmax_rows,
-    softmax_rows_inplace,
-)
+from .core import NEG_INF, Matrix, RandomStream, seeded_stream, softmax_rows_inplace
 
 RMS_EPS = 1e-6
 ROTARY_BASE = 10000.0
@@ -132,14 +125,12 @@ def build_causal_mask(length: int) -> Matrix:
 
 
 def attention(Q: Matrix, K: Matrix, V: Matrix, mask: Matrix | None = None) -> Matrix:
-    """Single-head scaled dot-product attention with optional additive mask."""
+    """Single-head multi_head_attention with optional additive mask."""
     if Q.shape[1] != K.shape[1]:
         raise ValueError(f"Q width {Q.shape[1]} != K width {K.shape[1]}")
     if K.shape[0] != V.shape[0]:
         raise ValueError(f"K rows {K.shape[0]} != V rows {V.shape[0]}")
-    d_k = Q.shape[1]
-    scores = (Q @ K.T) / np.sqrt(d_k)
-    return softmax_rows(scores, mask) @ V
+    return multi_head_attention(Q[None], K[None], V[None], mask)
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -200,50 +191,45 @@ def split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
     return x.reshape(t, num_heads, d // num_heads).transpose(1, 0, 2)
 
 
-def multi_head_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    mask: Matrix | None,
-    d_k: int,
-    capture: list | None = None,
-) -> np.ndarray:
-    """Per-head attention. q: (H, Tq, d_k); k, v: (H, Tk, d_k). mask, if
-    given, is (Tq, Tk) and shared across heads. Returns (Tq, H*d_k).
+def layer_queries(lw: LayerWeights, x: Matrix, cos, sin, num_heads: int) -> np.ndarray:
+    """The layer's post-rotary queries of the rows x, (R, D), at rotary
+    phases cos, sin: (H, R, d_k)."""
+    return apply_rotary(split_heads(rms_norm(x, lw.attn_norm) @ lw.wq, num_heads), cos, sin)
+
+
+def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                         mask: Matrix | None = None) -> np.ndarray:
+    """Per-head scaled dot-product attention. q: (H, Tq, d_k); k: (H, Tk,
+    d_k); v: (H, Tk, d_v). mask, if given, is an additive (Tq, Tk) mask
+    shared across heads. Returns (Tq, H*d_v).
 
     The heads run one at a time on a single (Tq, Tk) score buffer, scaled,
     masked and normalised in place, so the scores of all heads are never
-    held at once; with capture set the buffer is (H, Tq, Tk), one slice per
-    head, and is appended to capture."""
+    held at once."""
     h, tq, _ = q.shape
-    tk = k.shape[1]
+    tk, d_v = k.shape[1], v.shape[2]
     if mask is not None and mask.shape != (tq, tk):
         raise ValueError(f"mask shape {mask.shape} != ({tq}, {tk})")
-    probs = np.empty((h if capture is not None else 1, tq, tk))
-    out = np.empty((tq, h * d_k))
-    scale = np.sqrt(d_k)
+    s = np.empty((tq, tk))
+    out = np.empty((tq, h * d_v))
+    scale = np.sqrt(q.shape[2])
     for i in range(h):
-        s = probs[i] if capture is not None else probs[0]
         np.matmul(q[i], k[i].T, out=s)
         s /= scale
         if mask is not None:
             s += mask
         softmax_rows_inplace(s)
-        np.matmul(s, v[i], out=out[:, i * d_k : (i + 1) * d_k])
-    if capture is not None:
-        capture.append(probs)
+        np.matmul(s, v[i], out=out[:, i * d_v : (i + 1) * d_v])
     return out
 
 
-def gathered_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, key_sets,
-                       d_k: int) -> np.ndarray:
+def gathered_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, key_sets) -> np.ndarray:
     """Per-head attention in which each (query rows, key indices) pair of
     key_sets attends over its own keys only, gathered from k and v; the pairs
     must cover every query row once. Shapes as in multi_head_attention."""
-    out = np.empty((q.shape[1], q.shape[0] * d_k))
+    out = np.empty((q.shape[1], q.shape[0] * v.shape[2]))
     for rows, idx in key_sets:
-        out[rows] = multi_head_attention(q[:, rows, :], k[:, idx, :], v[:, idx, :],
-                                         None, d_k)
+        out[rows] = multi_head_attention(q[:, rows, :], k[:, idx, :], v[:, idx, :])
     return out
 
 
@@ -252,33 +238,32 @@ class LayerActivations:
     """Per-layer states exposed by forward.
 
     hidden[l] is the input hidden state of layer l, (T, D); hidden[num_layers]
-    is the final pre-norm output. keys[l] / values[l] are post-rotary
-    projections, (H, T, d_k). attention_probs is populated only on request."""
+    is the final pre-norm output. keys[l] (post-rotary) and values[l] are
+    layer l's projections, (H, T, d_k); layer_queries of hidden[l] are its
+    queries."""
 
     hidden: list[np.ndarray] = field(default_factory=list)
     keys: list[np.ndarray] = field(default_factory=list)
     values: list[np.ndarray] = field(default_factory=list)
-    attention_probs: list[np.ndarray] | None = None
 
 
 def transformer_layer(lw: LayerWeights, x: Matrix, cos, sin, keys, values, rows,
-                      key_sets=None, mask: Matrix | None = None,
-                      capture: list | None = None) -> Matrix:
+                      key_sets=None, mask: Matrix | None = None) -> Matrix:
     """One pre-norm block over the rows x, (R, D), at rotary phases cos, sin.
     Writes their keys and values at sequence rows `rows` of the layer's
     (H, T, d_k) buffers and attends over the whole buffers, under the additive
     (R, T) mask if one is given (forward's causal mode). key_sets, if given,
     pairs query rows of x with the key indices each attends over instead, as
     in gathered_attention. Updates x in place and returns it."""
-    num_heads, _, d_k = keys.shape
+    num_heads = keys.shape[0]
     xn = rms_norm(x, lw.attn_norm)
     q = apply_rotary(split_heads(xn @ lw.wq, num_heads), cos, sin)
     keys[:, rows, :] = apply_rotary(split_heads(xn @ lw.wk, num_heads), cos, sin)
     values[:, rows, :] = split_heads(xn @ lw.wv, num_heads)
     if key_sets is None:
-        attn = multi_head_attention(q, keys, values, mask, d_k, capture)
+        attn = multi_head_attention(q, keys, values, mask)
     else:
-        attn = gathered_attention(q, keys, values, key_sets, d_k)
+        attn = gathered_attention(q, keys, values, key_sets)
     x += attn @ lw.wo
     # The FFN holds one (R, 4D) array, with the attention temporaries
     # released first: a layer's transient heap then stays under glibc's trim
@@ -289,12 +274,8 @@ def transformer_layer(lw: LayerWeights, x: Matrix, cos, sin, keys, values, rows,
     return x
 
 
-def forward(
-    weights: Weights,
-    embeddings: Matrix,
-    position_ids,
-    capture_attention: bool = False,
-) -> tuple[Matrix, LayerActivations]:
+def forward(weights: Weights, embeddings: Matrix,
+            position_ids) -> tuple[Matrix, LayerActivations]:
     """Full forward pass: returns (logits over vocab, per-layer activations).
 
     Positions enter only through rotary phases on Q and K, so rows may be
@@ -314,14 +295,14 @@ def forward(
     mask = build_causal_mask(t) if cfg.mask_mode == "causal" else None
 
     cos, sin = rotary_phases(position_ids, cfg.head_dim)
-    acts = LayerActivations(attention_probs=[] if capture_attention else None)
+    acts = LayerActivations()
     h = embeddings.astype(np.float64, copy=True)
     for lw in weights.layers:
         acts.hidden.append(h.copy())
         acts.keys.append(np.empty((cfg.num_heads, t, cfg.head_dim)))
         acts.values.append(np.empty_like(acts.keys[-1]))
         transformer_layer(lw, h, cos, sin, acts.keys[-1], acts.values[-1],
-                          slice(None), mask=mask, capture=acts.attention_probs)
+                          slice(None), mask=mask)
     acts.hidden.append(h.copy())
     logits = rms_norm(h, weights.final_norm) @ weights.head
     return logits, acts

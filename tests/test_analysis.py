@@ -19,9 +19,11 @@ from marscache import (
     relocate_high_norm,
     visibility_frequency,
 )
-from marscache.analysis import decode_drift, drift
+from marscache.analysis import decode_drift, drift, entropy_profile
+from marscache.diffusion import assemble_embeddings
 from marscache.mars import anchor_visibility_count
-from reference import brute_force_step_entries
+from marscache.model import apply_rotary, rms_norm, rotary_phases, split_heads
+from reference import brute_force_step_entries, ref_batched_attention
 
 SMALL = ModelConfig(
     num_layers=4, num_heads=2, model_dim=32, head_dim=16, vocab_size=64,
@@ -107,6 +109,30 @@ class TestAttentionEntropy:
         assert attention_entropy([probs, probs]) == pytest.approx(
             [np.log(6), np.log(6)]
         )
+
+    @pytest.mark.parametrize("mask_mode", ["bidirectional", "causal"])
+    def test_profile_equals_oracle_probabilities(self, mask_mode):
+        # Each layer's probabilities, rebuilt from forward's states through
+        # the batched oracle, give the profile's entropies bit for bit.
+        cfg = ModelConfig(
+            num_layers=4, num_heads=2, model_dim=32, head_dim=16, vocab_size=64,
+            group_boundaries=(0, 1, 2, 3), mask_mode=mask_mode,
+        )
+        lay = small_layout()
+        w = init_weights(cfg, 42)
+        wk = make_workload(lay, cfg, 42)
+        resp = np.full(lay.generation_length, lay.mask_token_id)
+        emb = assemble_embeddings(w, lay, wk.visual_embeddings, wk.prompt_tokens, resp)
+        _, acts = forward(w, emb, lay.position_ids)
+        cos, sin = rotary_phases(lay.position_ids, cfg.head_dim)
+        mask = build_causal_mask(lay.total_length) if mask_mode == "causal" else None
+        probs = []
+        for l, lw in enumerate(w.layers):
+            xn = rms_norm(acts.hidden[l], lw.attn_norm)
+            q = apply_rotary(split_heads(xn @ lw.wq, cfg.num_heads), cos, sin)
+            probs.append(ref_batched_attention(q, acts.keys[l], acts.values[l], mask,
+                                               cfg.head_dim)[1])
+        assert entropy_profile(w, emb, lay.position_ids) == attention_entropy(probs)
 
 
 class TestAttentionCost:

@@ -183,8 +183,6 @@ class TestDecodeCommand:
         (["engine.kind=mars", "engine.tau_text=[4,2,1,1]",
           "engine.anchor_budgets=[4,4,4,4]", "engine.sample_size=57"],
          "sample size 57 outside [1, 56]"),
-        (["model.mask_mode=causal"],
-         "block caching needs a bidirectional model, not mask_mode 'causal'"),
     ])
     def test_engine_that_does_not_fit_model_rejected(self, tmp_path, capsys,
                                                      sets, message):
@@ -195,6 +193,22 @@ class TestDecodeCommand:
             argv += ["--set", item]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"config error: engine: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, message", [
+        # The CLI builds bidirectional models only; mask_mode is no key.
+        ("model.mask_mode=causal", "model: unknown keys ['mask_mode']"),
+        ("model.num_layer=2", "model: unknown keys ['num_layer']"),
+        ("layout.frames=2", "layout: unknown keys ['frames']"),
+        ("decode.steps=8", "decode: unknown keys ['steps']; valid: "),
+        ("layout=5", "layout: expected an object, got int"),
+    ])
+    @pytest.mark.parametrize("command", [["decode"], ["analyze", "--mode", "sparsity"]])
+    def test_unknown_section_key_rejected(self, tmp_path, capsys, key, message, command):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, output_dir=str(out))
+        assert main([*command, "--config", cfg, "--set", key]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
 
     def test_set_overrides(self, tmp_path):

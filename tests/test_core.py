@@ -65,11 +65,9 @@ class TestSoftmaxRows:
         assert np.allclose(out, 1 / 3)
 
     def test_mask_excludes_exactly(self):
-        out = softmax_rows(
-            np.array([[5.0, 5.0]]), np.array([[0.0, NEG_INF]])
-        )
-        assert out[0, 0] == 1.0
+        out = softmax_rows(np.array([[5.0, NEG_INF, 5.0]]))
         assert out[0, 1] == 0.0
+        assert out[0, 0] == out[0, 2] == 0.5
 
     def test_shift_invariance(self):
         a = softmax_rows(np.array([[1.0, 2.0, 3.0]]))
@@ -77,23 +75,28 @@ class TestSoftmaxRows:
         assert np.allclose(a, b, atol=1e-15)
 
     def test_fully_masked_row_raises(self):
-        with pytest.raises(FullyMaskedRowError, match="fully masked row"):
-            softmax_rows(np.zeros((2, 3)), np.full((2, 3), NEG_INF))
+        scores = np.zeros((2, 3))
+        scores[1] = NEG_INF
+        with pytest.raises(FullyMaskedRowError, match=r"row\(s\) at indices \[1\]"):
+            softmax_rows(scores)
 
     def test_input_left_unchanged(self):
         scores = seeded_stream(4, "scores").normal(size=(3, 5))
-        mask = np.zeros((3, 5))
-        mask[:, 0] = NEG_INF
+        scores[:, 0] = NEG_INF
         before = scores.copy()
-        softmax_rows(scores)
-        softmax_rows(scores, mask)
+        out = softmax_rows(scores)
         assert np.array_equal(scores, before)
+        assert np.all(out[:, 0] == 0.0)
 
-    def test_zero_mask_is_identity(self):
+    def test_masked_column_drops_out(self):
+        # The other columns normalise as if the -inf column were absent.
         scores = seeded_stream(3, "scores").normal(size=(4, 4))
-        assert np.array_equal(
-            softmax_rows(scores), softmax_rows(scores, np.zeros((4, 4)))
-        )
+        masked = scores.copy()
+        masked[:, 2] = NEG_INF
+        out = softmax_rows(masked)
+        assert np.all(out[:, 2] == 0.0)
+        assert np.allclose(out[:, [0, 1, 3]], softmax_rows(scores[:, [0, 1, 3]]),
+                           rtol=0, atol=1e-15)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8))

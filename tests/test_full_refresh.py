@@ -155,7 +155,7 @@ def test_mars_step_one_anchors_equal_forward_proxies(case):
             return session.step(t, state)
 
     _, trace = decode(Checked(), layout, dc)
-    digest = expected[0].digest()
+    digest = expected[0].digest
     assert session.plan == expected[0]
     assert [s.anchor_digest for s in trace.steps] == [digest] * len(trace.steps)
 

@@ -98,7 +98,7 @@ class TestMultiHeadAttention:
         mask[0, 1:] = NEG_INF
         mask[2, :2] = NEG_INF
         before = [a.copy() for a in (q, k, v, mask)]
-        out = multi_head_attention(q, k, v, mask, 4)
+        out = multi_head_attention(q, k, v, mask)
         for h in range(2):
             expect = attention(q[h], k[h], v[h], mask)
             assert np.allclose(out[:, 4 * h : 4 * (h + 1)], expect, rtol=0, atol=1e-14)
@@ -109,14 +109,14 @@ class TestMultiHeadAttention:
     def test_mask_must_be_tq_by_tk(self, shape):
         q, k, v = self.qkv()
         with pytest.raises(ValueError, match="mask shape"):
-            multi_head_attention(q, k, v, np.zeros(shape), 4)
+            multi_head_attention(q, k, v, np.zeros(shape))
 
     def test_fully_masked_row_raises(self):
         q, k, v = self.qkv()
         mask = np.zeros((3, 5))
         mask[1] = NEG_INF
         with pytest.raises(FullyMaskedRowError, match="fully masked row"):
-            multi_head_attention(q, k, v, mask, 4)
+            multi_head_attention(q, k, v, mask)
 
 
 def test_gelu_matches_reference_formula_bitwise():
