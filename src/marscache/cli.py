@@ -6,6 +6,7 @@ directory so any artifact is re-derivable from its own directory."""
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 import time
@@ -28,30 +29,55 @@ from .model import ModelConfig, forward, init_weights
 from .presets import engine_params_from_dict, merge_presets
 from .workload import make_high_norm_embeddings, make_workload
 
-SCHEMA_VERSION = "marscache-run-v1"
+SCHEMA_VERSION = "marscache-run-v2"
 
-DEFAULT_CONFIG = {
-    "seed": 42,
-    "output_dir": "runs/out",
+# Default of an engine key the config leaves out: the presets, then
+# EngineParams, supply it, so the resolved config omits the key.
+FROM_PRESETS = object()
+
+# Every key a run config may set, as (type, default); a dict is a section.
+# A type is int, float (an int is accepted), str, a literal string, None
+# (JSON null), [type] (a list of that type) or a tuple of alternatives.
+CONFIG_KEYS = {
+    "schema": (SCHEMA_VERSION, SCHEMA_VERSION),
+    "seed": (int, 42),
+    "output_dir": (str, "runs/out"),
     "model": {
-        "num_layers": 8,
-        "num_heads": 4,
-        "model_dim": 128,
-        "head_dim": 32,
-        "vocab_size": 256,
-        "groups": 4,
+        "num_layers": (int, 8),
+        "num_heads": (int, 4),
+        "model_dim": (int, 128),
+        "head_dim": (int, 32),
+        "vocab_size": (int, 256),
+        "group_boundaries": ([int], [0, 2, 4, 6]),
     },
     "layout": {
-        "num_frames": 8,
-        "patches_per_frame": 16,
-        "prompt_length": 16,
-        "generation_length": 64,
-        "block_length": 32,
+        "num_frames": (int, 8),
+        "patches_per_frame": (int, 16),
+        "prompt_length": (int, 16),
+        "generation_length": (int, 64),
+        "block_length": (int, 32),
     },
-    "decode": {"num_steps": 32, "tokens_per_step": 2},
-    # No default "kind": an explicit kind always overrides presets, so the
-    # vanilla fallback lives in engine_params_from_dict instead.
-    "engine": {"presets": []},
+    # Exactly one commit rule: "tokens_per_step": null selects threshold mode.
+    "decode": {
+        "num_steps": (int, 32),
+        "tokens_per_step": ((int, None), 2),
+        "confidence_threshold": ((float, None), None),
+    },
+    # "presets" plus presets.PRESET_KEYS.
+    "engine": {
+        "presets": ([str], []),
+        "engine_kind": (str, FROM_PRESETS),
+        "tau_text": ([int], FROM_PRESETS),
+        "tau_visual": ([int], FROM_PRESETS),
+        "anchor_budgets": ([(int, "full")], FROM_PRESETS),
+        "sample_size": (int, FROM_PRESETS),
+    },
+    "analyze": {
+        "length": (int, 1024),
+        "high_norm_k": (int, 16),
+        "ratios": ([float], [0.0, 0.25, 0.5, 0.75, 1.0]),
+        "trace": ((str, None), None),
+    },
 }
 
 
@@ -59,129 +85,91 @@ class ConfigError(ValueError):
     """Invalid run config; message names the offending field."""
 
 
-def _require(mapping: dict, field: str, kind, context: str):
-    if field not in mapping:
-        raise ConfigError(f"{context}.{field}: missing required key")
-    value = mapping[field]
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(
-            f"{context}.{field}: expected {kind.__name__}, got {type(value).__name__}"
-        )
-    return value
+def _fits(kind, value) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_fits(kind[0], v) for v in value)
+    if isinstance(kind, tuple):
+        return any(_fits(k, value) for k in kind)
+    if kind is None or isinstance(kind, str):
+        return value == kind
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
-def resolve_config(user: dict) -> dict:
-    """Overlay user keys on the defaults (one level deep)."""
-    cfg = json.loads(json.dumps(DEFAULT_CONFIG))
-    for key, value in user.items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
-            cfg[key].update(value)
-        else:
-            cfg[key] = value
+def _describe(kind) -> str:
+    if isinstance(kind, list):
+        return f"list of {_describe(kind[0])}"
+    if isinstance(kind, tuple):
+        return " or ".join(map(_describe, kind))
+    if kind is None:
+        return "null"
+    return repr(kind) if isinstance(kind, str) else kind.__name__
+
+
+def _expected(where: str, what: str, value) -> ConfigError:
+    return ConfigError(f"{where}: expected {what}, got {type(value).__name__} {value!r}")
+
+
+def resolve_config(user, table: dict = CONFIG_KEYS, where: str = "") -> dict:
+    """Overlay the user's keys on the key table, section by section; an
+    unknown key or a value of the wrong type raises ConfigError naming it."""
+    section = where or "run config"
+    if not isinstance(user, dict):
+        raise _expected(section, "an object", user)
+    if unknown := sorted(set(user) - set(table)):
+        raise ConfigError(f"{section}: unknown keys {unknown}; valid: {', '.join(table)}")
+    cfg = {}
+    for key, entry in table.items():
+        name = f"{where}.{key}" if where else key
+        if isinstance(entry, dict):
+            cfg[key] = resolve_config(user.get(key, {}), entry, name)
+            continue
+        kind, default = entry
+        value = user.get(key, default)
+        if value is FROM_PRESETS:
+            continue
+        if not _fits(kind, value):
+            raise _expected(name, _describe(kind), value)
+        cfg[key] = copy.deepcopy(value)
     return cfg
 
 
-def build_model_config(cfg: dict) -> ModelConfig:
-    m = cfg["model"]
-    layers = _require(m, "num_layers", int, "model")
-    groups = m.get("groups")
-    if "group_boundaries" in m:
-        boundaries = tuple(m["group_boundaries"])
-    elif groups:
-        if layers % groups != 0:
-            raise ConfigError(
-                f"model.groups: {groups} does not evenly divide {layers} layers"
-            )
-        boundaries = tuple(range(0, layers, layers // groups))
-    else:
-        boundaries = (0,)
+def _checked(where: str, build, *args, **kwargs):
+    """Call build, reporting its ValueError or TypeError as a config error."""
     try:
-        return ModelConfig(
-            num_layers=layers,
-            num_heads=_require(m, "num_heads", int, "model"),
-            model_dim=_require(m, "model_dim", int, "model"),
-            head_dim=_require(m, "head_dim", int, "model"),
-            vocab_size=_require(m, "vocab_size", int, "model"),
-            group_boundaries=boundaries,
-        )
-    except ValueError as e:
-        raise ConfigError(f"model: {e}") from e
+        return build(*args, **kwargs)
+    except (KeyError, ValueError, TypeError) as e:
+        raise ConfigError(f"{where}: {e}") from e
 
 
-def build_layout(cfg: dict) -> SequenceLayout:
-    lay = cfg["layout"]
-    try:
-        return SequenceLayout(
-            num_frames=_require(lay, "num_frames", int, "layout"),
-            patches_per_frame=_require(lay, "patches_per_frame", int, "layout"),
-            prompt_length=_require(lay, "prompt_length", int, "layout"),
-            generation_length=_require(lay, "generation_length", int, "layout"),
-            block_length=_require(lay, "block_length", int, "layout"),
-            mask_token_id=cfg["model"]["vocab_size"] - 1,
-        )
-    except ValueError as e:
-        raise ConfigError(f"layout: {e}") from e
-
-
-def build_decode_config(cfg: dict) -> DecodeConfig:
-    d = cfg["decode"]
-    try:
-        return DecodeConfig(
-            generation_length=cfg["layout"]["generation_length"],
-            num_steps=_require(d, "num_steps", int, "decode"),
-            block_length=cfg["layout"]["block_length"],
-            tokens_per_step=d.get("tokens_per_step"),
-            confidence_threshold=d.get("confidence_threshold"),
-        )
-    except ValueError as e:
-        raise ConfigError(f"decode: {e}") from e
-
-
-def build_engine_params(engine_cfg: dict) -> EngineParams:
-    presets = engine_cfg.get("presets", [])
-    overrides = {
-        k: v for k, v in engine_cfg.items() if k not in ("presets", "kind")
-    }
-    if "kind" in engine_cfg:
-        overrides["engine_kind"] = engine_cfg["kind"]
-    try:
-        merged = merge_presets(presets, overrides)
-        return engine_params_from_dict(merged)
-    except (KeyError, ValueError) as e:
-        raise ConfigError(f"engine: {e}") from e
+def build_configs(
+    cfg: dict,
+) -> tuple[ModelConfig, SequenceLayout, DecodeConfig, EngineParams]:
+    """Build each config of a resolved run config once; raises ConfigError
+    before any artifact is written."""
+    model_cfg = _checked("model", ModelConfig, **cfg["model"])
+    layout = _checked("layout", SequenceLayout, **cfg["layout"],
+                      mask_token_id=model_cfg.vocab_size - 1)
+    decode_cfg = _checked("decode", DecodeConfig, **cfg["decode"],
+                          generation_length=layout.generation_length,
+                          block_length=layout.block_length)
+    overrides = dict(cfg["engine"])
+    merged = _checked("engine", merge_presets, overrides.pop("presets"), overrides)
+    params = _checked("engine", engine_params_from_dict, merged)
+    _checked("engine", validate_params, params, model_cfg, layout)
+    return model_cfg, layout, decode_cfg, params
 
 
 def _echo_config(cfg: dict, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "config.json", "w") as f:
-        json.dump({"schema": SCHEMA_VERSION, **cfg}, f, indent=2, sort_keys=True)
+        json.dump(cfg, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def _validate(cfg: dict):
-    """Raise ConfigError before any artifact is written; returns the model
-    config, layout, decode config and engine params."""
-    for section, extra in (("model", ["group_boundaries"]), ("layout", []),
-                           ("decode", ["confidence_threshold"])):
-        given = cfg[section]
-        if not isinstance(given, dict):
-            raise ConfigError(f"{section}: expected an object, got {type(given).__name__}")
-        valid = [*DEFAULT_CONFIG[section], *extra]
-        if unknown := sorted(set(given) - set(valid)):
-            raise ConfigError(f"{section}: unknown keys {unknown}; valid: {', '.join(valid)}")
-    model_cfg = build_model_config(cfg)
-    layout = build_layout(cfg)
-    decode_cfg = build_decode_config(cfg)
-    params = build_engine_params(cfg["engine"])
-    try:
-        validate_params(params, model_cfg, layout)
-    except ValueError as e:
-        raise ConfigError(f"engine: {e}") from e
-    return model_cfg, layout, decode_cfg, params
-
-
 def cmd_decode(cfg: dict) -> int:
-    model_cfg, layout, decode_cfg, params = _validate(cfg)
+    model_cfg, layout, decode_cfg, params = build_configs(cfg)
     outdir = Path(cfg["output_dir"])
     _echo_config(cfg, outdir)
     weights = init_weights(model_cfg, cfg["seed"])
@@ -204,37 +192,35 @@ def cmd_decode(cfg: dict) -> int:
 ANALYZE_MODES = ("drift", "sparsity", "visibility", "relocation", "cost")
 
 
+def _report(cfg: dict, mode: str, header: list[str], rows, summary: str) -> int:
+    """Write a computed report: its config echo first, then its CSV."""
+    outdir = Path(cfg["output_dir"])
+    _echo_config(cfg, outdir)
+    write_csv(str(outdir / f"{mode}.csv"), header, rows)
+    print(f"analyze {mode}: {summary}")
+    return 0
+
+
 def cmd_analyze(cfg: dict, mode: str) -> int:
     if mode not in ANALYZE_MODES:
         raise ConfigError(
             f"analyze.mode: unknown mode {mode!r}; valid: {', '.join(ANALYZE_MODES)}"
         )
-    if mode != "visibility":
-        _validate(cfg)
-    outdir = Path(cfg["output_dir"])
-    _echo_config(cfg, outdir)
-    opts = cfg.get("analyze", {})
+    model_cfg, layout, decode_cfg, params = build_configs(cfg)
+    opts = cfg["analyze"]
 
     if mode == "visibility":
-        length = int(opts.get("length", 1024))
-        counts = visibility_frequency(length)
-        write_csv(
-            str(outdir / "visibility.csv"),
-            ["position", "visibility"],
-            ([j + 1, int(c)] for j, c in enumerate(counts)),
-        )
-        print(f"analyze visibility: {length} rows")
-        return 0
+        counts = _checked("analyze.length", visibility_frequency, opts["length"])
+        return _report(cfg, mode, ["position", "visibility"],
+                       ([j + 1, int(c)] for j, c in enumerate(counts)),
+                       f"{len(counts)} rows")
 
-    model_cfg = build_model_config(cfg)
-    layout = build_layout(cfg)
     weights = init_weights(model_cfg, cfg["seed"])
     wk = make_workload(layout, model_cfg, cfg["seed"])
 
     if mode == "drift":
         records = decode_drift(
-            weights, layout, wk.visual_embeddings, wk.prompt_tokens,
-            build_decode_config(cfg),
+            weights, layout, wk.visual_embeddings, wk.prompt_tokens, decode_cfg
         )
         rows = []
         for r in records:
@@ -245,16 +231,12 @@ def cmd_analyze(cfg: dict, mode: str) -> int:
                          f"{r.text_mean:.9f}", f"{r.text_median:.9f}",
                          *[f"{x:.9f}" for x in r.per_boundary_text]])
         nb = len(records[0].per_boundary_visual) if records else 0
-        write_csv(
-            str(outdir / "drift.csv"),
-            ["step_from", "step_to", "modality", "mean", "median",
-             *[f"boundary_{g}" for g in range(nb)]],
-            rows,
-        )
         frac = float(np.mean([r.visual_mean <= r.text_mean for r in records]))
-        print(f"analyze drift: {len(records)} step pairs; "
-              f"visual<=text in {frac:.1%} of pairs")
-        return 0
+        return _report(cfg, mode,
+                       ["step_from", "step_to", "modality", "mean", "median",
+                        *[f"boundary_{g}" for g in range(nb)]],
+                       rows,
+                       f"{len(records)} step pairs; visual<=text in {frac:.1%} of pairs")
 
     if mode == "sparsity":
         response = np.full(layout.generation_length, layout.mask_token_id)
@@ -262,17 +244,12 @@ def cmd_analyze(cfg: dict, mode: str) -> int:
             weights, layout, wk.visual_embeddings, wk.prompt_tokens, response
         )
         profile = entropy_profile(weights, emb, layout.position_ids)
-        write_csv(
-            str(outdir / "sparsity.csv"),
-            ["layer", "mean_entropy_nats"],
-            ([l, f"{e:.9f}"] for l, e in enumerate(profile)),
-        )
-        print(f"analyze sparsity: {len(profile)} layers")
-        return 0
+        return _report(cfg, mode, ["layer", "mean_entropy_nats"],
+                       ([l, f"{e:.9f}"] for l, e in enumerate(profile)),
+                       f"{len(profile)} layers")
 
     if mode == "relocation":
-        k = int(opts.get("high_norm_k", 16))
-        ratios = opts.get("ratios", [0.0, 0.25, 0.5, 0.75, 1.0])
+        k, ratios = opts["high_norm_k"], opts["ratios"]
         emb_vis, _ = make_high_norm_embeddings(
             layout.visual_length, model_cfg.model_dim, k, cfg["seed"]
         )
@@ -295,7 +272,8 @@ def cmd_analyze(cfg: dict, mode: str) -> int:
         causal_by_r = {}
         rows = []
         for r in ratios:
-            rel = relocate_high_norm(emb_vis, pos[: layout.visual_length], k, float(r))
+            rel = _checked("analyze", relocate_high_norm,
+                           emb_vis, pos[: layout.visual_length], k, float(r))
             restore = np.concatenate([
                 rel.inverse,
                 np.arange(layout.visual_length, layout.total_length),
@@ -305,21 +283,14 @@ def cmd_analyze(cfg: dict, mode: str) -> int:
             delta_b = float(np.max(np.abs(bidi - base_bidi)))
             delta_c = float(np.max(np.abs(causal_by_r[r] - causal_by_r[ratios[0]])))
             rows.append([r, f"{delta_b:.3e}", f"{delta_c:.3e}"])
-        write_csv(
-            str(outdir / "relocation.csv"),
-            ["ratio", "bidirectional_max_delta", "causal_max_delta_vs_first"],
-            rows,
-        )
-        print(f"analyze relocation: {len(rows)} ratios")
-        return 0
+        return _report(cfg, mode,
+                       ["ratio", "bidirectional_max_delta", "causal_max_delta_vs_first"],
+                       rows, f"{len(rows)} ratios")
 
     # mode == "cost"
-    decode_cfg = build_decode_config(cfg)
-    params = build_engine_params(cfg["engine"])
-    trace_path = opts.get("trace")
-    if trace_path:
+    if opts["trace"] is not None:
         try:
-            trace = DecodeTrace.from_jsonl(trace_path)
+            trace = DecodeTrace.from_jsonl(opts["trace"])
             if trace.engine != params.kind:
                 raise ValueError(f"trace engine {trace.engine!r} "
                                  f"is not the configured {params.kind!r}")
@@ -337,28 +308,29 @@ def cmd_analyze(cfg: dict, mode: str) -> int:
          analytic, (rec.attention_entries + rec.proxy_entries) - analytic]
         for rec, analytic in zip(trace.steps, report.per_step_entries)
     ]
-    write_csv(
-        str(outdir / "cost.csv"),
-        ["step", "block", "entries_recorded", "entries_analytic", "delta"],
-        rows,
-    )
-    print(f"analyze cost: {len(rows)} steps, total={report.total_entries}")
-    return 0
+    return _report(cfg, mode,
+                   ["step", "block", "entries_recorded", "entries_analytic", "delta"],
+                   rows, f"{len(rows)} steps, total={report.total_entries}")
 
 
-def _apply_overrides(cfg: dict, sets: list[str]) -> None:
+def _apply_overrides(user: dict, sets: list[str]) -> None:
+    """Write each --set key=value into the user's config (before it is
+    resolved); a value that is not JSON is taken as a string."""
     for item in sets:
-        if "=" not in item:
+        key, eq, raw = item.partition("=")
+        if not eq:
             raise ConfigError(f"--set {item!r}: expected key=value")
-        key, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = cfg
-        parts = key.split(".")
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
+        node, parts = user, key.split(".")
+        for depth, part in enumerate(parts):
+            if not isinstance(node, dict):
+                parent = ".".join(parts[:depth]) or "the run config"
+                raise ConfigError(f"--set {item}: {parent} is not an object")
+            if depth < len(parts) - 1:
+                node = node.setdefault(part, {})
         node[parts[-1]] = value
 
 
@@ -378,12 +350,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        user_cfg = {}
+        user = {}
         if args.config:
             with open(args.config) as f:
-                user_cfg = json.load(f)
-        cfg = resolve_config(user_cfg)
-        _apply_overrides(cfg, args.sets)
+                try:
+                    user = json.load(f)
+                except json.JSONDecodeError as e:
+                    raise ConfigError(f"{args.config}: {e}") from e
+        _apply_overrides(user, args.sets)
+        cfg = resolve_config(user)
         if args.command == "decode":
             return cmd_decode(cfg)
         return cmd_analyze(cfg, args.mode)
