@@ -258,12 +258,14 @@ def relocate_high_norm(embeddings, position_ids, k: int, r: float) -> Relocation
     """Physically relocate the top-k highest-norm rows to a contiguous run
     starting at floor(r * n) (clamped so the run fits), preserving original
     position ids and the relative order of all other rows. k = 0 is the
-    identity; r outside [0, 1] is an error."""
+    identity; k outside [0, n] or r outside [0, 1] is an error."""
     emb = np.asarray(embeddings, dtype=np.float64)
     pos = np.asarray(position_ids)
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"position ratio r={r} outside [0, 1]")
     n = emb.shape[0]
+    if k < 0:
+        raise ValueError(f"k={k} is negative")
     if k > n:
         raise ValueError(f"k={k} exceeds number of rows {n}")
     if k == 0:

@@ -250,9 +250,8 @@ def cmd_analyze(cfg: dict, mode: str) -> int:
 
     if mode == "relocation":
         k, ratios = opts["high_norm_k"], opts["ratios"]
-        emb_vis, _ = make_high_norm_embeddings(
-            layout.visual_length, model_cfg.model_dim, k, cfg["seed"]
-        )
+        emb_vis, _ = _checked("analyze", make_high_norm_embeddings,
+                              layout.visual_length, model_cfg.model_dim, k, cfg["seed"])
         response = np.full(layout.generation_length, layout.mask_token_id)
         tail = np.concatenate([
             weights.embedding[wk.prompt_tokens], weights.embedding[response]

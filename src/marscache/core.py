@@ -90,7 +90,9 @@ def softmax_rows(scores: Matrix) -> Matrix:
 def softmax_rows_inplace(s: np.ndarray) -> np.ndarray:
     """Row-wise softmax over the last axis of the float64 array s, written
     into s and returned. Raises FullyMaskedRowError for a row that is all
-    -inf, leaving s unnormalised."""
+    -inf or has no entries, leaving s unnormalised."""
+    if s.shape[-1] == 0:
+        raise FullyMaskedRowError("rows with no entries")
     row_max = np.max(s, axis=-1, keepdims=True)
     dead = ~np.isfinite(row_max)
     if np.any(dead):

@@ -39,6 +39,8 @@ class SequenceLayout:
             raise ValueError("layout needs at least one non-empty frame")
         if self.generation_length < 1 or self.block_length < 1:
             raise ValueError("generation_length and block_length must be >= 1")
+        if self.prompt_length < 0:
+            raise ValueError(f"prompt_length {self.prompt_length} is negative")
         if not self.position_ids:
             object.__setattr__(
                 self, "position_ids", tuple(range(self.total_length))

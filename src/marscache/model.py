@@ -197,29 +197,56 @@ def layer_queries(lw: LayerWeights, x: Matrix, cos, sin, num_heads: int) -> np.n
     return apply_rotary(split_heads(rms_norm(x, lw.attn_norm) @ lw.wq, num_heads), cos, sin)
 
 
+# multi_head_attention divides a head's output by its unshifted exp row sums
+# only if every sum lies in this range, and otherwise takes the max-shifted
+# softmax. From 2**-900 up, an exp that fell into the subnormals or to 0
+# weighs under 2**-122 of its row; up to 2**900, the product with v stays
+# finite unless some |v| reaches 2**123.
+EXP_SUM_RANGE = (2.0**-900, 2.0**900)
+
+
 def multi_head_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                          mask: Matrix | None = None) -> np.ndarray:
     """Per-head scaled dot-product attention. q: (H, Tq, d_k); k: (H, Tk,
     d_k); v: (H, Tk, d_v). mask, if given, is an additive (Tq, Tk) mask
     shared across heads. Returns (Tq, H*d_v).
 
-    The heads run one at a time on a single (Tq, Tk) score buffer, scaled,
-    masked and normalised in place, so the scores of all heads are never
-    held at once."""
-    h, tq, _ = q.shape
+    The heads run one at a time on a single (Tq, Tk) score buffer, so the
+    scores of all heads are never held at once. Each head scores the queries
+    pre-scaled by 1/sqrt(d_k), exponentiates in place without the row-max
+    shift, and divides its (Tq, d_v) output rows by the row sums l. A head
+    with any row sum outside EXP_SUM_RANGE (an exp that overflowed or
+    underflowed, a NaN, a fully masked row) is scored again and normalised
+    by the max-shifted softmax_rows_inplace, which raises
+    FullyMaskedRowError for a fully masked row."""
+    h, tq, d_k = q.shape
     tk, d_v = k.shape[1], v.shape[2]
     if mask is not None and mask.shape != (tq, tk):
         raise ValueError(f"mask shape {mask.shape} != ({tq}, {tk})")
+    lo, hi = EXP_SUM_RANGE
     s = np.empty((tq, tk))
+    qs = np.empty((tq, d_k))
     out = np.empty((tq, h * d_v))
-    scale = np.sqrt(q.shape[2])
-    for i in range(h):
-        np.matmul(q[i], k[i].T, out=s)
-        s /= scale
+    inv_scale = 1.0 / np.sqrt(d_k)
+
+    def score(i):
+        np.matmul(qs, k[i].T, out=s)
         if mask is not None:
-            s += mask
-        softmax_rows_inplace(s)
-        np.matmul(s, v[i], out=out[:, i * d_v : (i + 1) * d_v])
+            np.add(s, mask, out=s)
+
+    with np.errstate(over="ignore", under="ignore"):
+        for i in range(h):
+            o = out[:, i * d_v : (i + 1) * d_v]
+            np.multiply(q[i], inv_scale, out=qs)
+            score(i)
+            np.exp(s, out=s)
+            l = np.sum(s, axis=-1)
+            if not tq or lo <= l.min() and l.max() <= hi:  # a NaN fails both
+                np.matmul(s, v[i], out=o)
+                o /= l[:, None]
+            else:
+                score(i)
+                np.matmul(softmax_rows_inplace(s), v[i], out=o)
     return out
 
 

@@ -60,7 +60,12 @@ def make_high_norm_embeddings(
     num_rows: int, model_dim: int, k: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit-scale rows with k randomly chosen rows boosted by a fixed factor;
-    returns (embeddings, indices of the boosted rows, sorted)."""
+    returns (embeddings, indices of the boosted rows, sorted). k outside
+    [0, num_rows] is an error."""
+    if k < 0:
+        raise ValueError(f"k={k} is negative")
+    if k > num_rows:
+        raise ValueError(f"k={k} exceeds number of rows {num_rows}")
     root = seeded_stream(seed, "high-norm")
     emb = root.child("rows").normal(size=(num_rows, model_dim), std=1.0)
     # Sample k rows without replacement via random ranks.

@@ -85,10 +85,25 @@ def ref_forward(weights, embeddings, position_ids, mask=None):
 
 
 def ref_batched_attention(q, k, v, mask, d_k):
-    """All heads at once, as multi_head_attention computed them before it
-    ran one head at a time: q (H, Tq, d_k), k and v (H, Tk, d_k), mask
-    (Tq, Tk) or None. Returns the (Tq, H*d_k) output and the (H, Tq, Tk)
-    probabilities."""
+    """All heads at once, in multi_head_attention's arithmetic: q (H, Tq,
+    d_k), k and v (H, Tk, d_k), mask (Tq, Tk) or None. The queries are
+    scaled by 1/sqrt(d_k), the scores exponentiated without a row-max shift,
+    and the (Tq, H*d_k) output divided by the row sums. Valid only where
+    every row sum is in model.EXP_SUM_RANGE."""
+    scores = np.matmul(q * (1.0 / np.sqrt(d_k)), k.transpose(0, 2, 1))
+    if mask is not None:
+        scores += mask
+    z = np.exp(scores)
+    out = np.matmul(z, v) / np.sum(z, axis=-1)[..., None]
+    h, tq, _ = q.shape
+    return out.transpose(1, 0, 2).reshape(tq, h * d_k)
+
+
+def ref_shifted_attention(q, k, v, mask, d_k):
+    """All heads at once by the max-shifted softmax, which holds on any
+    finite scores: the scores divided by sqrt(d_k), shifted by their row max
+    before the exp and normalised into probabilities. Returns the (Tq, H*d_k)
+    output and the (H, Tq, Tk) probabilities."""
     scores = np.matmul(q, k.transpose(0, 2, 1))
     scores /= np.sqrt(d_k)
     if mask is not None:

@@ -23,7 +23,7 @@ from marscache.analysis import decode_drift, drift, entropy_profile
 from marscache.diffusion import assemble_embeddings
 from marscache.mars import anchor_visibility_count
 from marscache.model import apply_rotary, rms_norm, rotary_phases, split_heads
-from reference import brute_force_step_entries, ref_batched_attention
+from reference import brute_force_step_entries, ref_shifted_attention
 
 SMALL = ModelConfig(
     num_layers=4, num_heads=2, model_dim=32, head_dim=16, vocab_size=64,
@@ -113,7 +113,7 @@ class TestAttentionEntropy:
     @pytest.mark.parametrize("mask_mode", ["bidirectional", "causal"])
     def test_profile_equals_oracle_probabilities(self, mask_mode):
         # Each layer's probabilities, rebuilt from forward's states through
-        # the batched oracle, give the profile's entropies bit for bit.
+        # the max-shifted oracle, give the profile's entropies bit for bit.
         cfg = ModelConfig(
             num_layers=4, num_heads=2, model_dim=32, head_dim=16, vocab_size=64,
             group_boundaries=(0, 1, 2, 3), mask_mode=mask_mode,
@@ -130,7 +130,7 @@ class TestAttentionEntropy:
         for l, lw in enumerate(w.layers):
             xn = rms_norm(acts.hidden[l], lw.attn_norm)
             q = apply_rotary(split_heads(xn @ lw.wq, cfg.num_heads), cos, sin)
-            probs.append(ref_batched_attention(q, acts.keys[l], acts.values[l], mask,
+            probs.append(ref_shifted_attention(q, acts.keys[l], acts.values[l], mask,
                                                cfg.head_dim)[1])
         assert entropy_profile(w, emb, lay.position_ids) == attention_entropy(probs)
 
@@ -293,6 +293,23 @@ class TestRelocateHighNorm:
     def test_r_out_of_range(self):
         with pytest.raises(ValueError):
             relocate_high_norm(np.ones((4, 2)), np.arange(4), 1, 1.5)
+
+    @pytest.mark.parametrize("k, message", [(-1, "k=-1 is negative"),
+                                            (5, "k=5 exceeds number of rows 4")])
+    def test_k_out_of_range(self, k, message):
+        with pytest.raises(ValueError, match=message):
+            relocate_high_norm(np.ones((4, 2)), np.arange(4), k, 0.5)
+
+    @pytest.mark.parametrize("k, message", [(-2, "k=-2 is negative"),
+                                            (9, "k=9 exceeds number of rows 5")])
+    def test_high_norm_k_out_of_range(self, k, message):
+        with pytest.raises(ValueError, match=message):
+            make_high_norm_embeddings(5, 4, k, 0)
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_high_norm_k_at_the_ends(self, k):
+        emb, idx = make_high_norm_embeddings(5, 4, k, 0)
+        assert np.array_equal(idx, np.arange(5)[:k])
 
     def test_identity_when_already_in_place(self):
         emb = np.ones((6, 2))

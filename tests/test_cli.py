@@ -381,6 +381,7 @@ class TestRunConfig:
         ("relocation", "analyze.ratios=[0.5,2.0]",
          "analyze: position ratio r=2.0 outside [0, 1]"),
         ("relocation", "analyze.high_norm_k=999", "analyze: k=999 exceeds number of rows 16"),
+        ("relocation", "analyze.high_norm_k=-3", "analyze: k=-3 is negative"),
     ])
     def test_analyze_value_out_of_range_rejected(self, tmp_path, capsys, mode, setting,
                                                  message):
@@ -389,6 +390,16 @@ class TestRunConfig:
         assert main(["analyze", "--config", cfg, "--mode", mode, "--set", setting]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+    def test_negative_prompt_length_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, output_dir=str(out))
+        assert main(["decode", "--config", cfg, "--set", "layout.prompt_length=-3"]) == 2
+        assert capsys.readouterr().err == "config error: layout: prompt_length -3 is negative\n"
+        assert not out.exists()
+        # An empty prompt decodes.
+        assert main(["decode", "--config", cfg, "--set", "layout.prompt_length=0"]) == 0
+        assert (out / "tokens.txt").exists()
 
     def test_config_that_is_not_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -80,6 +80,10 @@ class TestSoftmaxRows:
         with pytest.raises(FullyMaskedRowError, match=r"row\(s\) at indices \[1\]"):
             softmax_rows(scores)
 
+    def test_row_without_entries_raises(self):
+        with pytest.raises(FullyMaskedRowError, match="rows with no entries"):
+            softmax_rows(np.zeros((2, 0)))
+
     def test_input_left_unchanged(self):
         scores = seeded_stream(4, "scores").normal(size=(3, 5))
         scores[:, 0] = NEG_INF

@@ -50,6 +50,13 @@ class TestLayout:
         with pytest.raises(ValueError):
             lay.frame_span(9)
 
+    def test_negative_prompt_length_rejected(self):
+        with pytest.raises(ValueError, match="prompt_length -3 is negative"):
+            default_layout(prompt_length=-3)
+        lay = default_layout(prompt_length=0)  # an empty prompt is valid
+        assert lay.prompt_span == range(128, 128)
+        assert lay.total_length == 192
+
 
 class TestForwardMask:
     def test_t_zero_masks_nothing(self):
