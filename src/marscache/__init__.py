@@ -53,8 +53,6 @@ from .model import (
     build_causal_mask,
     forward,
     init_weights,
-    load_weights,
-    save_weights,
 )
 from .workload import Workload, default_layout, make_high_norm_embeddings, make_workload
 

@@ -64,7 +64,6 @@ def drift(
     states_b: list[np.ndarray],
     layout: SequenceLayout,
     step_pair: tuple[int, int] = (0, 0),
-    visual_rows=None,
     text_rows=None,
 ) -> DriftRecord:
     """Per-token drift between two lists of boundary hidden-state matrices,
@@ -72,15 +71,14 @@ def drift(
     overridden)."""
     if len(states_a) != len(states_b):
         raise ValueError("snapshots cover different numbers of boundaries")
-    if visual_rows is None:
-        visual_rows = np.arange(layout.visual_length)
+    visual_rows = np.arange(layout.visual_length)
     if text_rows is None:
         text_rows = np.arange(layout.visual_length, layout.total_length)
     vis_all, text_all, per_vis, per_text = [], [], [], []
     for a, b in zip(states_a, states_b):
         if a.shape != b.shape:
             raise ValueError("boundary state shapes differ between snapshots")
-        dv = _token_drift(a, b, np.asarray(visual_rows))
+        dv = _token_drift(a, b, visual_rows)
         dt = _token_drift(a, b, np.asarray(text_rows))
         vis_all.append(dv)
         text_all.append(dt)

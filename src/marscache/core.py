@@ -42,26 +42,19 @@ class RandomStream:
         self._gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence([self.seed, *path]))
         )
-        self.position = 0  # total elements drawn
 
     def child(self, label: str) -> "RandomStream":
         """Split off an independent stream; does not disturb this one."""
         return RandomStream(self.seed, self._path + (_label_key(label),))
 
     def uniform(self, size=None) -> np.ndarray:
-        out = self._gen.uniform(size=size)
-        self.position += int(np.size(out))
-        return out
+        return self._gen.uniform(size=size)
 
     def normal(self, size=None, std: float = 1.0) -> np.ndarray:
-        out = self._gen.normal(0.0, std, size=size)
-        self.position += int(np.size(out))
-        return out
+        return self._gen.normal(0.0, std, size=size)
 
     def integers(self, low: int, high: int, size=None) -> np.ndarray:
-        out = self._gen.integers(low, high, size=size)
-        self.position += int(np.size(out))
-        return out
+        return self._gen.integers(low, high, size=size)
 
 
 def seeded_stream(seed: int, label: str) -> RandomStream:

@@ -32,7 +32,6 @@ class SequenceLayout:
     generation_length: int
     block_length: int
     mask_token_id: int
-    position_ids: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.num_frames < 1 or self.patches_per_frame < 1:
@@ -41,12 +40,6 @@ class SequenceLayout:
             raise ValueError("generation_length and block_length must be >= 1")
         if self.prompt_length < 0:
             raise ValueError(f"prompt_length {self.prompt_length} is negative")
-        if not self.position_ids:
-            object.__setattr__(
-                self, "position_ids", tuple(range(self.total_length))
-            )
-        elif len(self.position_ids) != self.total_length:
-            raise ValueError("position_ids length != total sequence length")
 
     @property
     def visual_length(self) -> int:
@@ -55,6 +48,11 @@ class SequenceLayout:
     @property
     def total_length(self) -> int:
         return self.visual_length + self.prompt_length + self.generation_length
+
+    @property
+    def position_ids(self) -> range:
+        """Row i sits at position i."""
+        return range(self.total_length)
 
     @property
     def prompt_span(self) -> range:
@@ -306,19 +304,23 @@ class DecodeTrace:
 
     @classmethod
     def from_jsonl(cls, path: str) -> "DecodeTrace":
-        """Load a trace written by to_jsonl; a step line with a key that
-        StepRecord lacks, or without one of its required keys, raises
-        ValueError."""
+        """Load a trace written by to_jsonl; raises ValueError for a header
+        that is not an object holding engine and config, and for a step line
+        that is not an object, has a key StepRecord lacks or lacks a required one."""
         known = {f.name for f in fields(StepRecord)}
         required = {f.name for f in fields(StepRecord)
                     if f.default is MISSING and f.default_factory is MISSING}
         with open(path) as f:
             head = json.loads(f.readline())
+            if not isinstance(head, dict) or not {"engine", "config"} <= head.keys():
+                raise ValueError("trace header is not an object holding engine and config")
             if head.get("schema") != cls.SCHEMA:
                 raise ValueError(f"unknown trace schema {head.get('schema')!r}")
             trace = cls(engine=head["engine"], config=head["config"])
             for line in f:
                 d = json.loads(line)
+                if not isinstance(d, dict):
+                    raise ValueError("trace step is not an object")
                 unknown = sorted(set(d) - known)
                 if unknown:
                     raise ValueError(f"trace step has unknown keys: {unknown}")

@@ -24,7 +24,6 @@ from .model import gathered_attention
 
 VISUAL = "visual"
 TEXT = "text_context"
-MODALITIES = (VISUAL, TEXT)
 
 
 @dataclass(frozen=True)

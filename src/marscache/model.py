@@ -7,9 +7,7 @@ the one block that both `forward` and the caching engines' sweep run.
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +30,13 @@ class ModelConfig:
     mask_mode: str = "bidirectional"  # "causal" | "bidirectional"
 
     def __post_init__(self):
+        if self.num_heads < 1:
+            raise ValueError(f"num_heads {self.num_heads} must be >= 1")
+        if self.head_dim < 2 or self.head_dim % 2:
+            # apply_rotary rotates the two halves of each head against each other.
+            raise ValueError(f"head_dim {self.head_dim} must be even and >= 2")
+        if self.vocab_size < 2:
+            raise ValueError(f"vocab_size {self.vocab_size} must be >= 2")
         if self.model_dim != self.num_heads * self.head_dim:
             raise ValueError(
                 f"model_dim {self.model_dim} != num_heads*head_dim "
@@ -333,68 +338,3 @@ def forward(weights: Weights, embeddings: Matrix,
     acts.hidden.append(h.copy())
     logits = rms_norm(h, weights.final_norm) @ weights.head
     return logits, acts
-
-
-# -----------------------------------------------------------------------------
-# Weight snapshots: little-endian float64 blob with a JSON header.
-# -----------------------------------------------------------------------------
-
-_MAGIC = b"MCW1"
-
-
-def _tensor_table(weights: Weights) -> list[tuple[str, np.ndarray]]:
-    table = [("embedding", weights.embedding)]
-    for i, lw in enumerate(weights.layers):
-        for f in fields(LayerWeights):
-            table.append((f"layers.{i}.{f.name}", getattr(lw, f.name)))
-    table.append(("final_norm", weights.final_norm))
-    table.append(("head", weights.head))
-    return table
-
-
-def save_weights(weights: Weights, path: str) -> None:
-    tensors = _tensor_table(weights)
-    entries, offset = [], 0
-    for name, arr in tensors:
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size
-    header = json.dumps(
-        {"config": asdict(weights.config), "tensors": entries}
-    ).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        for _, arr in tensors:
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_weights(path: str) -> Weights:
-    with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise ValueError(f"not a weight snapshot: {path}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        blob = f.read()
-    cfg = ModelConfig(**header["config"])
-    data = np.frombuffer(blob, dtype="<f8")
-    arrays = {}
-    for ent in header["tensors"]:
-        size = int(np.prod(ent["shape"])) if ent["shape"] else 1
-        arrays[ent["name"]] = (
-            data[ent["offset"] : ent["offset"] + size]
-            .reshape(ent["shape"])
-            .astype(np.float64)
-        )
-    layers = [
-        LayerWeights(**{f.name: arrays[f"layers.{i}.{f.name}"]
-                        for f in fields(LayerWeights)})
-        for i in range(cfg.num_layers)
-    ]
-    return Weights(
-        config=cfg,
-        embedding=arrays["embedding"],
-        layers=layers,
-        final_norm=arrays["final_norm"],
-        head=arrays["head"],
-    )

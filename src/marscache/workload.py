@@ -19,7 +19,6 @@ HIGH_NORM_FACTOR = 8.0
 
 @dataclass
 class Workload:
-    layout: SequenceLayout
     visual_embeddings: np.ndarray
     prompt_tokens: np.ndarray
 
@@ -53,7 +52,7 @@ def make_workload(
     prompt = root.child("prompt-tokens").integers(
         0, layout.mask_token_id, size=layout.prompt_length
     )
-    return Workload(layout=layout, visual_embeddings=visual, prompt_tokens=prompt)
+    return Workload(visual_embeddings=visual, prompt_tokens=prompt)
 
 
 def make_high_norm_embeddings(

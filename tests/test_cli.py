@@ -247,6 +247,24 @@ class TestDecodeCommand:
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("sets, message", [
+        (["model.head_dim=3", "model.model_dim=12"], "head_dim 3 must be even and >= 2"),
+        (["model.head_dim=0", "model.model_dim=0"], "head_dim 0 must be even and >= 2"),
+        (["model.num_heads=0", "model.model_dim=0"], "num_heads 0 must be >= 1"),
+        (["model.vocab_size=1"], "vocab_size 1 must be >= 2"),
+    ])
+    @pytest.mark.parametrize("command", [["decode"], ["analyze", "--mode", "sparsity"]])
+    def test_model_that_cannot_run_rejected(self, tmp_path, capsys, sets, message,
+                                            command):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, output_dir=str(out))
+        argv = [*command, "--config", cfg]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: model: {message}\n"
+        assert not out.exists()
+
     def test_set_overrides(self, tmp_path):
         cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "o1"),
                         engine={"engine_kind": "vanilla"})
@@ -329,6 +347,17 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--config", cost_cfg, "--mode", "cost"]) == 2
         err = capsys.readouterr().err
         assert "config error: analyze.trace: " in err and "'step'" in err
+
+    @pytest.mark.parametrize("first_line", ['{"schema": "marscache-trace-v1"}', "[]"])
+    def test_cost_rejects_malformed_trace_header(self, tmp_path, capsys, first_line):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(first_line + "\n")
+        cost_cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"),
+                             analyze={"trace": str(path)})
+        assert main(["analyze", "--config", cost_cfg, "--mode", "cost"]) == 2
+        assert capsys.readouterr().err == ("config error: analyze.trace: trace header "
+                                           "is not an object holding engine and config\n")
+        assert not (tmp_path / "out").exists()
 
     def test_cost_rejects_trace_of_another_engine(self, tmp_path, capsys):
         decode_cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "run"),

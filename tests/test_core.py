@@ -52,12 +52,6 @@ class TestSeededStream:
         second = root.child("a").normal(size=5)
         assert np.array_equal(first, second)
 
-    def test_position_counts_draws(self):
-        s = seeded_stream(1, "x")
-        s.uniform(size=3)
-        s.normal(size=(2, 2))
-        assert s.position == 7
-
 
 class TestSoftmaxRows:
     def test_uniform_row(self):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -56,6 +57,19 @@ class TestLayout:
         lay = default_layout(prompt_length=0)  # an empty prompt is valid
         assert lay.prompt_span == range(128, 128)
         assert lay.total_length == 192
+
+    def test_positions_are_the_row_indices(self):
+        lay = SequenceLayout(num_frames=2, patches_per_frame=3, prompt_length=4,
+                             generation_length=5, block_length=5, mask_token_id=0)
+        assert lay.position_ids == range(lay.total_length) == range(15)
+        assert np.array_equal(np.asarray(lay.position_ids), np.arange(15))
+
+    def test_position_ids_is_not_a_setting(self):
+        with pytest.raises(TypeError, match="position_ids"):
+            SequenceLayout(num_frames=2, patches_per_frame=3, prompt_length=4,
+                           generation_length=5, block_length=5, mask_token_id=0,
+                           position_ids=tuple(range(15)))
+        assert len(fields(SequenceLayout)) == 6
 
 
 class TestForwardMask:
@@ -317,6 +331,25 @@ class TestTraceFormat:
         path = tmp_path / "trace.jsonl"
         path.write_text(V1_TRACE.splitlines()[0] + "\n" + json.dumps(line) + "\n")
         with pytest.raises(ValueError, match=f"lacks required keys: \\['{key}'\\]"):
+            DecodeTrace.from_jsonl(str(path))
+
+    @pytest.mark.parametrize("header", [
+        '{"schema": "marscache-trace-v1"}',
+        '{"schema": "marscache-trace-v1", "engine": "mars"}',
+        "[]",
+        '"marscache-trace-v1"',
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(header + "\n" + V1_TRACE.splitlines()[1] + "\n")
+        with pytest.raises(ValueError, match="header is not an object holding engine and config"):
+            DecodeTrace.from_jsonl(str(path))
+
+    @pytest.mark.parametrize("line", ["[]", "1", "null"])
+    def test_step_line_that_is_not_an_object_rejected(self, tmp_path, line):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(V1_TRACE.splitlines()[0] + "\n" + line + "\n")
+        with pytest.raises(ValueError, match="step is not an object"):
             DecodeTrace.from_jsonl(str(path))
 
 
