@@ -266,9 +266,6 @@ def relocate_high_norm(embeddings, position_ids, k: int, r: float) -> Relocation
         raise ValueError(f"k={k} is negative")
     if k > n:
         raise ValueError(f"k={k} exceeds number of rows {n}")
-    if k == 0:
-        ident = np.arange(n)
-        return Relocation(emb.copy(), pos.copy(), ident, ident.copy())
     norms = np.linalg.norm(emb, axis=1)
     order = np.lexsort((np.arange(n), -norms))
     top = np.sort(order[:k])

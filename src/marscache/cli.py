@@ -27,7 +27,7 @@ from .diffusion import DecodeConfig, DecodeTrace, SequenceLayout, assemble_embed
 from .engines import EngineParams, make_engine, validate_params
 from .model import ModelConfig, forward, init_weights
 from .presets import engine_params_from_dict, merge_presets
-from .workload import make_high_norm_embeddings, make_workload
+from .workload import default_layout, make_high_norm_embeddings, make_workload
 
 SCHEMA_VERSION = "marscache-run-v2"
 
@@ -149,8 +149,8 @@ def build_configs(
     """Build each config of a resolved run config once; raises ConfigError
     before any artifact is written."""
     model_cfg = _checked("model", ModelConfig, **cfg["model"])
-    layout = _checked("layout", SequenceLayout, **cfg["layout"],
-                      mask_token_id=model_cfg.vocab_size - 1)
+    layout = _checked("layout", default_layout, **cfg["layout"],
+                      vocab_size=model_cfg.vocab_size)
     decode_cfg = _checked("decode", DecodeConfig, **cfg["decode"],
                           generation_length=layout.generation_length,
                           block_length=layout.block_length)
@@ -364,7 +364,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -110,14 +110,16 @@ class DecodeConfig:
     confidence_threshold: float | None = None
 
     def __post_init__(self):
+        if self.generation_length < 1 or self.block_length < 1:
+            raise ValueError("generation_length and block_length must be >= 1")
         if (self.tokens_per_step is None) == (self.confidence_threshold is None):
             raise ValueError(
                 "set exactly one of tokens_per_step / confidence_threshold"
             )
-        num_blocks = -(-self.generation_length // self.block_length)
-        if self.num_steps < num_blocks:
+        per_block = self.steps_per_block()
+        if self.num_steps < len(per_block):
             raise ValueError(
-                f"num_steps {self.num_steps} < number of blocks {num_blocks}"
+                f"num_steps {self.num_steps} < number of blocks {len(per_block)}"
             )
         if self.confidence_threshold is not None and not (
             0.0 < self.confidence_threshold <= 1.0
@@ -126,7 +128,6 @@ class DecodeConfig:
         if self.tokens_per_step is not None:
             if self.tokens_per_step < 1:
                 raise ValueError("tokens_per_step must be >= 1")
-            per_block = self.steps_per_block()
             for b, steps in enumerate(per_block):
                 blk = min(
                     self.block_length,
@@ -218,18 +219,17 @@ def dlm_loss(
 def select_unmask(
     probabilities: Matrix,
     positions,
-    count: int | None = None,
-    threshold: float | None = None,
     min_commits: int = 1,
+    threshold: float | None = None,
 ) -> list[tuple[int, int]]:
     """Choose which masked positions to commit this step.
 
     probabilities has one row per masked position (vocab distribution);
-    positions gives each row's position index. Count mode commits the `count`
-    rows with the highest max probability; threshold mode commits every row
-    whose max probability reaches the threshold, topped up to min_commits so
-    the decode always makes progress. Ties break toward lower position index;
-    the committed token is the row argmax."""
+    positions gives each row's position index. Every row whose max
+    probability reaches the threshold is committed (none without one),
+    topped up to the min_commits most confident rows and never fewer than
+    one, so the decode always makes progress. Ties break toward lower
+    position index; the committed token is the row argmax."""
     positions = np.asarray(positions, dtype=np.int64)
     if probabilities.shape[0] == 0:
         raise ValueError("no masked positions to select from")
@@ -238,12 +238,8 @@ def select_unmask(
     conf = np.max(probabilities, axis=1)
     tokens = np.argmax(probabilities, axis=1)
     order = np.lexsort((positions, -conf))
-    if count is not None:
-        take = order[: max(min(count, order.size), 0)]
-    else:
-        qualify = conf[order] >= threshold
-        n = max(int(np.sum(qualify)), min_commits, 1)
-        take = order[: min(n, order.size)]
+    qualify = 0 if threshold is None else int(np.sum(conf >= threshold))
+    take = order[: min(max(qualify, min_commits, 1), order.size)]
     return [(int(positions[i]), int(tokens[i])) for i in take]
 
 
@@ -260,6 +256,17 @@ class StepRecord:
     elapsed_ns: int = 0
     anchor_digest: str | None = None
     masked_remaining: int = 0
+
+
+# The check of a loaded step value, by its StepRecord field's annotation;
+# JSON holds each committed (position, token) pair as a list.
+_STEP_VALUE_CHECKS = {
+    "int": lambda v: type(v) is int,
+    "list[int]": lambda v: type(v) is list and all(type(x) is int for x in v),
+    "list[tuple[int, int]]": lambda v: type(v) is list and all(
+        type(c) is list and len(c) == 2 and all(type(x) is int for x in c) for c in v),
+    "str | None": lambda v: v is None or type(v) is str,
+}
 
 
 @dataclass
@@ -306,8 +313,9 @@ class DecodeTrace:
     def from_jsonl(cls, path: str) -> "DecodeTrace":
         """Load a trace written by to_jsonl; raises ValueError for a header
         that is not an object holding engine and config, and for a step line
-        that is not an object, has a key StepRecord lacks or lacks a required one."""
-        known = {f.name for f in fields(StepRecord)}
+        that is not an object, has a key StepRecord lacks, lacks a required
+        one or holds a value of the wrong type."""
+        types = {f.name: f.type for f in fields(StepRecord)}
         required = {f.name for f in fields(StepRecord)
                     if f.default is MISSING and f.default_factory is MISSING}
         with open(path) as f:
@@ -321,12 +329,16 @@ class DecodeTrace:
                 d = json.loads(line)
                 if not isinstance(d, dict):
                     raise ValueError("trace step is not an object")
-                unknown = sorted(set(d) - known)
+                unknown = sorted(set(d) - types.keys())
                 if unknown:
                     raise ValueError(f"trace step has unknown keys: {unknown}")
                 missing = sorted(required - set(d))
                 if missing:
                     raise ValueError(f"trace step lacks required keys: {missing}")
+                for key, value in d.items():
+                    if not _STEP_VALUE_CHECKS[types[key]](value):
+                        raise ValueError(f"trace step key {key!r}: expected "
+                                         f"{types[key]}, got {value!r}")
                 d["committed"] = [tuple(c) for c in d["committed"]]
                 trace.steps.append(StepRecord(**d))
         return trace
@@ -380,23 +392,14 @@ def decode(
             # The reserved [MASK] id is never committable.
             probs[:, layout.mask_token_id] = 0.0
             masked_rows = masked_local - local[0]
-            steps_left_after = budget - step_in_block - 1
-            if config.tokens_per_step is not None:
-                commits = select_unmask(
-                    probs[masked_rows], masked_local, count=config.tokens_per_step
-                )
-            else:
-                # Force enough commits to finish the block within its budget.
-                min_needed = max(int(masked_local.size) - steps_left_after, 1)
-                commits = select_unmask(
-                    probs[masked_rows], masked_local,
-                    threshold=config.confidence_threshold, min_commits=min_needed,
-                )
+            # Threshold mode commits enough to finish the block within its budget.
+            min_commits = (config.tokens_per_step if config.tokens_per_step is not None
+                           else int(masked_local.size) - (budget - step_in_block - 1))
+            commits = select_unmask(probs[masked_rows], masked_local, min_commits,
+                                    config.confidence_threshold)
             for pos, tok in commits:
                 state.token_ids[pos] = tok
                 state.mask_flags[pos] = False
-            record.step = t
-            record.block = block
             record.committed = commits
             record.elapsed_ns = time.perf_counter_ns() - started
             record.masked_remaining = int(np.sum(state.mask_flags))

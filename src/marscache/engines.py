@@ -81,6 +81,9 @@ def validate_params(
         raise ValueError("block caching needs a bidirectional model, not "
                          f"mask_mode {model_config.mask_mode!r}")
     if params.kind != "mars":
+        if params != EngineParams(params.kind):
+            raise ValueError(f"engine kind {params.kind!r} takes no schedule, "
+                             "anchor budgets or sample size")
         return
     groups = model_config.num_groups
     if params.schedule.num_groups != groups:
@@ -188,8 +191,6 @@ class EngineSession:
         validate_params(params, weights.config, layout)
         self.weights = weights
         self.layout = layout
-        self.visual_embeddings = np.asarray(visual_embeddings, dtype=np.float64)
-        self.prompt_tokens = np.asarray(prompt_tokens, dtype=np.int64)
         self.params = params
         self.name = params.kind
         cfg = weights.config
@@ -198,11 +199,11 @@ class EngineSession:
         shape = (cfg.num_heads, total, cfg.head_dim)
         self.cache_k = [np.zeros(shape) for _ in range(cfg.num_layers)]
         self.cache_v = [np.zeros(shape) for _ in range(cfg.num_layers)]
-        # group_inputs[g] holds the hidden states entering group g (g >= 1);
-        # hidden holds those leaving the last layer (and is the sweep buffer).
-        self.group_inputs = [
-            np.zeros((total, cfg.model_dim)) for _ in range(cfg.num_groups)
-        ]
+        # group_inputs[g] holds the hidden states entering group g (the embeddings
+        # for g = 0); hidden holds those leaving the last layer, the sweep buffer.
+        response = np.full(layout.generation_length, layout.mask_token_id)
+        emb = assemble_embeddings(weights, layout, visual_embeddings, prompt_tokens, response)
+        self.group_inputs = [emb] + [np.zeros_like(emb) for _ in range(1, cfg.num_groups)]
         self.hidden = np.zeros((total, cfg.model_dim))
         self.cached_block: int | None = None
         self.plan: AnchorPlan | None = None
@@ -215,20 +216,18 @@ class EngineSession:
         if self.cached_block is None and not rewrites_all:
             raise RuntimeError("engine stepped at t > 1 without initialization")
         self.cached_block = state.active_block
-        emb = assemble_embeddings(
-            self.weights, self.layout, self.visual_embeddings,
-            self.prompt_tokens, state.token_ids,
-        )
-        logits = self._sweep(emb, state.active_block, plan)
+        resp = self.layout.response_span
+        self.group_inputs[0][resp.start:resp.stop] = self.weights.embedding[state.token_ids]
+        logits = self._sweep(state.active_block, plan)
         if plan.build_anchors:
-            self._build_anchor_plan(emb)
+            self._build_anchor_plan()
         record = plan_cost(plan, self.params, self.weights.config, self.layout,
                            t, state.active_block)
         if self.plan is not None:
             record.anchor_digest = self.plan.digest
         return logits, record
 
-    def _build_anchor_plan(self, emb) -> None:
+    def _build_anchor_plan(self) -> None:
         """Proxy-score each group's first layer from the states a full sweep
         just cached and fix the per-group anchor sets as self.plan."""
         cfg = self.weights.config
@@ -240,7 +239,7 @@ class EngineSession:
         for g in range(cfg.num_groups):
             l0 = cfg.group_boundaries[g]
             lw = self.weights.layers[l0]
-            x = (emb if g == 0 else self.group_inputs[g])[sample_idx]
+            x = self.group_inputs[g][sample_idx]
             q = layer_queries(lw, x, cos, sin, cfg.num_heads)
             k = self.cache_k[l0]
             per_head = [
@@ -252,15 +251,14 @@ class EngineSession:
             proxies, lay, self.params.anchor_budgets, sample_indices=sample_idx
         )
 
-    def _sweep(self, emb, block: int, plan: StepPlan):
+    def _sweep(self, block: int, plan: StepPlan):
         """One shallow-to-deep pass recomputing the live rows of each group.
 
         Active-block rows are live from layer 0; visual / text-context rows
-        join at their plan's entry group with inputs taken from the
-        embeddings (group 0) or the cached boundary states, and stay live
-        through all deeper groups. Fresh keys/values overwrite the caches as
-        they are produced, so rows recomputed in the same step see each other
-        coherently. Returns the active-block logits."""
+        join at their plan's entry group with inputs taken from group_inputs,
+        and stay live through all deeper groups. Fresh keys/values overwrite
+        the caches as they are produced, so rows recomputed in the same step
+        see each other coherently. Returns the active-block logits."""
         cfg = self.weights.config
         lay = self.layout
         span = lay.block_span(block)
@@ -273,12 +271,12 @@ class EngineSession:
         ))
 
         h = self.hidden
-        h[active] = emb[active]
+        h[active] = self.group_inputs[0][active]
         live = active
         for g in range(cfg.num_groups):
             for entry, rows in ((plan.entry_visual, vis_rows), (plan.entry_text, text_rows)):
                 if entry == g:
-                    h[rows] = emb[rows] if g == 0 else self.group_inputs[g][rows]
+                    h[rows] = self.group_inputs[g][rows]
                     live = np.union1d(live, rows)
 
             cos, sin = self.cos[live], self.sin[live]

@@ -359,6 +359,23 @@ class TestAnalyzeCommand:
                                            "is not an object holding engine and config\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("step_line, message", [
+        ('{"step": 1, "block": 0, "committed": 5}',
+         "trace step key 'committed': expected list[tuple[int, int]], got 5"),
+        ('{"step": 1, "block": 0, "committed": [], "attention_entries": "x"}',
+         "trace step key 'attention_entries': expected int, got 'x'"),
+    ])
+    def test_cost_rejects_trace_step_value_of_the_wrong_type(self, tmp_path, capsys,
+                                                             step_line, message):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"schema": "marscache-trace-v1", "engine": "vanilla", '
+                        '"config": {}}\n' + step_line + "\n")
+        cost_cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"),
+                             analyze={"trace": str(path)})
+        assert main(["analyze", "--config", cost_cfg, "--mode", "cost"]) == 2
+        assert capsys.readouterr().err == f"config error: analyze.trace: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_cost_rejects_trace_of_another_engine(self, tmp_path, capsys):
         decode_cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "run"),
                                engine={"engine_kind": "dual_cache"})
@@ -435,6 +452,35 @@ class TestRunConfig:
         path.write_text('{"seed": 42,}')
         assert main(["decode", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+
+    # A path that cannot be read or made is an error, not a traceback, and
+    # nothing is written.
+    def test_config_that_is_a_directory_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["decode", "--config", str(tmp_path),
+                     "--set", f"output_dir={out}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert not out.exists()
+
+    def test_trace_that_is_a_directory_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, output_dir=str(out))
+        assert main(["analyze", "--config", cfg, "--mode", "cost",
+                     "--set", f"analyze.trace={tmp_path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+        assert not out.exists()
+
+    def test_output_dir_that_is_a_file_rejected(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        cfg = write_cfg(tmp_path, output_dir=str(taken))
+        assert main(["decode", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "File exists" in err
+        assert taken.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
 
     def test_echoed_config_round_trips(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"

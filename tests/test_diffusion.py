@@ -165,18 +165,33 @@ class TestSelectUnmask:
         probs = np.array([
             [0.6, 0.4], [0.9, 0.1], [0.55, 0.45], [0.2, 0.8],
         ])
-        commits = select_unmask(probs, [10, 11, 12, 13], count=2)
+        commits = select_unmask(probs, [10, 11, 12, 13], min_commits=2)
         assert sorted(commits) == [(11, 0), (13, 1)]
 
     def test_tie_breaks_to_lower_position(self):
         probs = np.array([[0.7, 0.3], [0.7, 0.3]])
-        commits = select_unmask(probs, [7, 3], count=1)
+        commits = select_unmask(probs, [7, 3], min_commits=1)
         assert commits == [(3, 0)]
 
     def test_threshold_mode(self):
         probs = np.array([[0.95, 0.05], [0.5, 0.5], [0.05, 0.95]])
         commits = select_unmask(probs, [0, 1, 2], threshold=0.9)
         assert sorted(commits) == [(0, 0), (2, 1)]
+
+    # Without a threshold exactly min_commits rows are committed, most
+    # confident first, never fewer than one nor more than there are rows.
+    @pytest.mark.parametrize("min_commits, taken", [(3, 3), (1, 1), (0, 1), (-2, 1), (9, 4)])
+    def test_without_threshold_commits_min_commits_rows(self, min_commits, taken):
+        probs = np.array([[0.6, 0.4], [0.9, 0.1], [0.55, 0.45], [0.2, 0.8]])
+        commits = select_unmask(probs, [10, 11, 12, 13], min_commits=min_commits)
+        assert commits == [(11, 0), (13, 1), (10, 0), (12, 0)][:taken]
+
+    def test_threshold_set_topped_up_to_min_commits(self):
+        probs = np.array([[0.6, 0.4], [0.9, 0.1], [0.55, 0.45], [0.2, 0.8]])
+        commits = select_unmask(probs, [10, 11, 12, 13], min_commits=3, threshold=0.85)
+        assert commits == [(11, 0), (13, 1), (10, 0)]
+        commits = select_unmask(probs, [10, 11, 12, 13], min_commits=1, threshold=0.7)
+        assert commits == [(11, 0), (13, 1)]
 
 
 def toy_session(engine_kind="vanilla", seed=42, gen=32, steps=16, block=16,
@@ -352,6 +367,30 @@ class TestTraceFormat:
         with pytest.raises(ValueError, match="step is not an object"):
             DecodeTrace.from_jsonl(str(path))
 
+    @pytest.mark.parametrize("key, value", [
+        ("step", "1"), ("block", True), ("block", 0.0),
+        ("committed", 5), ("committed", [31, 69]), ("committed", [[31]]),
+        ("committed", [[31, 69, 1]]), ("committed", [[31, 69.0]]), ("committed", [["31", 69]]),
+        ("refreshed_visual", [0, "1"]), ("refreshed_text", 3),
+        ("attention_entries", "x"), ("proxy_entries", 1.5), ("rows_recomputed", None),
+        ("elapsed_ns", [1]), ("masked_remaining", False), ("anchor_digest", 7),
+    ])
+    def test_step_value_of_the_wrong_type_rejected(self, tmp_path, key, value):
+        line = json.loads(V1_TRACE.splitlines()[1])
+        line[key] = value
+        path = tmp_path / "trace.jsonl"
+        path.write_text(V1_TRACE.splitlines()[0] + "\n" + json.dumps(line) + "\n")
+        with pytest.raises(ValueError, match=f"trace step key '{key}': expected "):
+            DecodeTrace.from_jsonl(str(path))
+
+    def test_committed_that_is_not_a_list_rejected(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(V1_TRACE.splitlines()[0] + "\n"
+                        + '{"step": 1, "block": 0, "committed": 5}\n')
+        with pytest.raises(ValueError, match="trace step key 'committed': expected "
+                                             r"list\[tuple\[int, int\]\], got 5"):
+            DecodeTrace.from_jsonl(str(path))
+
 
 class TestDecodeConfigValidation:
     def test_exactly_one_commit_rule(self):
@@ -365,3 +404,10 @@ class TestDecodeConfigValidation:
             DecodeConfig(64, 1, 32, tokens_per_step=64)
         with pytest.raises(ValueError):
             DecodeConfig(64, 32, 32, tokens_per_step=1)  # 16 steps < 32 tokens
+
+    @pytest.mark.parametrize("generation, block", [(64, 0), (0, 32), (0, 0), (-4, 32)])
+    def test_empty_generation_or_block_rejected(self, generation, block):
+        with pytest.raises(ValueError, match="generation_length and block_length must be >= 1"):
+            DecodeConfig(generation, 32, block, tokens_per_step=2)
+        with pytest.raises(ValueError, match="generation_length and block_length must be >= 1"):
+            DecodeConfig(generation, 32, block, confidence_threshold=0.5)

@@ -92,3 +92,46 @@ def test_causal_model_rejected_by_engine_and_cost_model(kind):
                     wk.visual_embeddings, wk.prompt_tokens)
     with pytest.raises(ValueError, match=message):
         attention_cost(params_for(kind), causal, lay, dc)
+
+
+@pytest.mark.parametrize("stray", [
+    dict(schedule=RefreshSchedule.uniform_modality((4, 2, 1, 1))),
+    dict(anchor_budgets=(99,)),
+    dict(sample_size=-5),
+    dict(schedule=RefreshSchedule.uniform_modality((4, 2, 1, 1)),
+         anchor_budgets=(99,), sample_size=-5),
+])
+@pytest.mark.parametrize("kind", ["vanilla", "dual_cache"])
+def test_mars_fields_on_another_kind_rejected_alike(kind, stray):
+    lay = default_layout(generation_length=32, vocab_size=SMALL.vocab_size)
+    dc = DecodeConfig(32, 16, 32, tokens_per_step=2)
+    params = EngineParams(kind=kind, **stray)
+    message = f"engine kind '{kind}' takes no schedule, anchor budgets or sample size"
+    with pytest.raises(ValueError, match=message) as built:
+        session(params, lay)
+    with pytest.raises(ValueError, match=message) as costed:
+        attention_cost(params, SMALL, lay, dc)
+    assert str(built.value) == str(costed.value)
+
+
+def _with_nan(visual):
+    visual = visual.copy()
+    visual[3, 5] = np.nan
+    return visual
+
+
+# The session assembles its embeddings when it is built, so bad inputs fail
+# there rather than at the first step.
+@pytest.mark.parametrize("visual, prompt, message", [
+    (lambda v: v[1:], lambda p: p, r"visual embeddings shape \(127, 32\) != \(128, 32\)"),
+    (lambda v: v[:, :-1], lambda p: p, r"visual embeddings shape \(128, 31\) != \(128, 32\)"),
+    (_with_nan, lambda p: p, "matrix contains non-finite entries"),
+    (lambda v: v, lambda p: p[:-1], "prompt length != layout prompt_length"),
+])
+@pytest.mark.parametrize("kind", KINDS)
+def test_inputs_rejected_when_session_is_built(kind, visual, prompt, message):
+    lay = default_layout(generation_length=32, vocab_size=SMALL.vocab_size)
+    wk = make_workload(lay, SMALL, 42)
+    with pytest.raises(ValueError, match=message):
+        make_engine(params_for(kind), init_weights(SMALL, 42), lay,
+                    visual(wk.visual_embeddings), prompt(wk.prompt_tokens))
