@@ -115,8 +115,7 @@ def decode_drift(
     def observer(record, eng):
         # Every vanilla step is a full refresh, so the boundary caches hold
         # this step's group-boundary inputs and final hidden states.
-        states = eng.group_inputs[1:] + [eng.hidden]
-        snapshots.append((record.step, record.block, [s.copy() for s in states]))
+        snapshots.append((record.step, record.block, [s.copy() for s in eng.boundary[1:]]))
 
     decode(engine, layout, config, observer=observer)
     records = []
@@ -200,7 +199,8 @@ def attention_cost(
     Each step's plan comes from the engines' refresh policy and is costed by
     the same `plan_cost` with the same arguments as in the engine, so its
     chunked visual rows count `mars.anchor_visibility_count`. With a trace, the
-    step -> block mapping is taken from the trace and every recorded per-step
+    step -> block mapping is taken from the trace, whose steps must be 1..n
+    (n >= 1) with blocks that never decrease, and every recorded per-step
     count is checked against the analytic value; any mismatch raises. Without
     a trace, block b runs min(budget_b, ceil(len_b / tokens_per_step)) steps;
     threshold-mode step counts depend on the decode, so they need the trace."""
@@ -208,6 +208,9 @@ def attention_cost(
     tps = decode_config.tokens_per_step
     if trace is not None:
         step_blocks = [(s.step, s.block) for s in trace.steps]
+        steps, blocks = [t for t, _ in step_blocks], [b for _, b in step_blocks]
+        if not steps or steps != list(range(1, len(steps) + 1)) or blocks != sorted(blocks):
+            raise ValueError("trace steps must be 1..n (n >= 1) with blocks that never decrease")
     elif tps is None:
         raise ValueError(
             "threshold-mode step counts depend on the decode; pass its trace"
@@ -269,7 +272,7 @@ def relocate_high_norm(embeddings, position_ids, k: int, r: float) -> Relocation
     norms = np.linalg.norm(emb, axis=1)
     order = np.lexsort((np.arange(n), -norms))
     top = np.sort(order[:k])
-    rest = np.array([i for i in range(n) if i not in set(top.tolist())], dtype=np.int64)
+    rest = np.delete(np.arange(n), top)
     start = min(int(np.floor(r * n)), n - k)
     perm = np.concatenate((rest[:start], top, rest[start:]))
     inv = np.empty_like(perm)

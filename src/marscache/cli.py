@@ -253,34 +253,29 @@ def cmd_analyze(cfg: dict, mode: str) -> int:
         emb_vis, _ = _checked("analyze", make_high_norm_embeddings,
                               layout.visual_length, model_cfg.model_dim, k, cfg["seed"])
         response = np.full(layout.generation_length, layout.mask_token_id)
-        tail = np.concatenate([
-            weights.embedding[wk.prompt_tokens], weights.embedding[response]
-        ])
+        emb = assemble_embeddings(weights, layout, emb_vis, wk.prompt_tokens, response)
         pos = np.asarray(layout.position_ids)
-        causal_weights = init_weights(
-            replace(model_cfg, mask_mode="causal"), cfg["seed"]
-        )
+        causal_weights = replace(weights, config=replace(model_cfg, mask_mode="causal"))
+        text_rows = np.arange(layout.visual_length, layout.total_length)
 
-        def run(ws, vis_emb, vis_pos):
-            full = np.concatenate([vis_emb, tail])
-            full_pos = np.concatenate([vis_pos, pos[layout.visual_length:]])
-            logits, _ = forward(ws, full, full_pos)
-            return logits
+        def run(ws, order):
+            """Logits of the rows taken in this order, returned in row order."""
+            logits, _ = forward(ws, emb[order], pos[order])
+            return logits[np.argsort(order)]
 
-        base_bidi = run(weights, emb_vis, pos[: layout.visual_length])
-        causal_by_r = {}
+        base_bidi = run(weights, np.arange(layout.total_length))
+        causal_first = None
         rows = []
         for r in ratios:
             rel = _checked("analyze", relocate_high_norm,
                            emb_vis, pos[: layout.visual_length], k, float(r))
-            restore = np.concatenate([
-                rel.inverse,
-                np.arange(layout.visual_length, layout.total_length),
-            ])
-            bidi = run(weights, rel.embeddings, rel.position_ids)[restore]
-            causal_by_r[r] = run(causal_weights, rel.embeddings, rel.position_ids)[restore]
+            order = np.concatenate([rel.permutation, text_rows])
+            bidi = run(weights, order)
+            causal = run(causal_weights, order)
+            if causal_first is None:
+                causal_first = causal
             delta_b = float(np.max(np.abs(bidi - base_bidi)))
-            delta_c = float(np.max(np.abs(causal_by_r[r] - causal_by_r[ratios[0]])))
+            delta_c = float(np.max(np.abs(causal - causal_first)))
             rows.append([r, f"{delta_b:.3e}", f"{delta_c:.3e}"])
         return _report(cfg, mode,
                        ["ratio", "bidirectional_max_delta", "causal_max_delta_vs_first"],
@@ -288,20 +283,17 @@ def cmd_analyze(cfg: dict, mode: str) -> int:
 
     # mode == "cost"
     if opts["trace"] is not None:
-        try:
-            trace = DecodeTrace.from_jsonl(opts["trace"])
-            if trace.engine != params.kind:
-                raise ValueError(f"trace engine {trace.engine!r} "
-                                 f"is not the configured {params.kind!r}")
-            report = attention_cost(params, model_cfg, layout, decode_cfg, trace=trace)
-        except ValueError as e:
-            raise ConfigError(f"analyze.trace: {e}") from e
+        trace = _checked("analyze.trace", DecodeTrace.from_jsonl, opts["trace"])
+        if trace.engine != params.kind:
+            raise ConfigError(f"analyze.trace: trace engine {trace.engine!r} "
+                              f"is not the configured {params.kind!r}")
     else:
         engine = make_engine(
             params, weights, layout, wk.visual_embeddings, wk.prompt_tokens
         )
         _, trace = decode(engine, layout, decode_cfg)
-        report = attention_cost(params, model_cfg, layout, decode_cfg, trace=trace)
+    report = _checked("analyze.trace", attention_cost,
+                      params, model_cfg, layout, decode_cfg, trace=trace)
     rows = [
         [rec.step, rec.block, rec.attention_entries + rec.proxy_entries,
          analytic, (rec.attention_entries + rec.proxy_entries) - analytic]

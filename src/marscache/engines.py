@@ -199,12 +199,11 @@ class EngineSession:
         shape = (cfg.num_heads, total, cfg.head_dim)
         self.cache_k = [np.zeros(shape) for _ in range(cfg.num_layers)]
         self.cache_v = [np.zeros(shape) for _ in range(cfg.num_layers)]
-        # group_inputs[g] holds the hidden states entering group g (the embeddings
-        # for g = 0); hidden holds those leaving the last layer, the sweep buffer.
+        # boundary[g] holds the hidden states entering group g (the embeddings
+        # for g = 0); boundary[G] holds those leaving the last layer.
         response = np.full(layout.generation_length, layout.mask_token_id)
         emb = assemble_embeddings(weights, layout, visual_embeddings, prompt_tokens, response)
-        self.group_inputs = [emb] + [np.zeros_like(emb) for _ in range(1, cfg.num_groups)]
-        self.hidden = np.zeros((total, cfg.model_dim))
+        self.boundary = [emb] + [np.zeros_like(emb) for _ in range(cfg.num_groups)]
         self.cached_block: int | None = None
         self.plan: AnchorPlan | None = None
 
@@ -217,7 +216,7 @@ class EngineSession:
             raise RuntimeError("engine stepped at t > 1 without initialization")
         self.cached_block = state.active_block
         resp = self.layout.response_span
-        self.group_inputs[0][resp.start:resp.stop] = self.weights.embedding[state.token_ids]
+        self.boundary[0][resp.start:resp.stop] = self.weights.embedding[state.token_ids]
         logits = self._sweep(state.active_block, plan)
         if plan.build_anchors:
             self._build_anchor_plan()
@@ -239,7 +238,7 @@ class EngineSession:
         for g in range(cfg.num_groups):
             l0 = cfg.group_boundaries[g]
             lw = self.weights.layers[l0]
-            x = self.group_inputs[g][sample_idx]
+            x = self.boundary[g][sample_idx]
             q = layer_queries(lw, x, cos, sin, cfg.num_heads)
             k = self.cache_k[l0]
             per_head = [
@@ -255,10 +254,11 @@ class EngineSession:
         """One shallow-to-deep pass recomputing the live rows of each group.
 
         Active-block rows are live from layer 0; visual / text-context rows
-        join at their plan's entry group with inputs taken from group_inputs,
-        and stay live through all deeper groups. Fresh keys/values overwrite
-        the caches as they are produced, so rows recomputed in the same step
-        see each other coherently. Returns the active-block logits."""
+        join at their plan's entry group and stay live through all deeper
+        groups. Group g reads its live rows from boundary[g] and writes them
+        to boundary[g + 1]. Fresh keys/values overwrite the caches as they
+        are produced, so rows recomputed in the same step see each other
+        coherently. Returns the active-block logits."""
         cfg = self.weights.config
         lay = self.layout
         span = lay.block_span(block)
@@ -270,13 +270,10 @@ class EngineSession:
             np.arange(span.stop, lay.total_length),
         ))
 
-        h = self.hidden
-        h[active] = self.group_inputs[0][active]
         live = active
         for g in range(cfg.num_groups):
             for entry, rows in ((plan.entry_visual, vis_rows), (plan.entry_text, text_rows)):
                 if entry == g:
-                    h[rows] = self.group_inputs[g][rows]
                     live = np.union1d(live, rows)
 
             cos, sin = self.cos[live], self.sin[live]
@@ -285,15 +282,13 @@ class EngineSession:
                 # Every visual row is live, and live is sorted, so x's first
                 # V rows are the visual segment.
                 key_sets = chunk_key_sets(lay, self.plan.unions[g], live.size)
-            x = h[live]
+            x = self.boundary[g][live]
             for l in cfg.group_layers(g):
                 transformer_layer(self.weights.layers[l], x, cos, sin,
                                   self.cache_k[l], self.cache_v[l], live, key_sets)
-            h[live] = x
-            if g + 1 < cfg.num_groups:
-                self.group_inputs[g + 1][live] = x
+            self.boundary[g + 1][live] = x
 
-        return rms_norm(h[active], self.weights.final_norm) @ self.weights.head
+        return rms_norm(self.boundary[-1][active], self.weights.final_norm) @ self.weights.head
 
 
 def make_engine(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,29 @@ class TestAttentionCost:
         _, trace = decode(eng, lay, dc)
         trace.steps[3].attention_entries += 1
         with pytest.raises(ValueError, match="trace/plan mismatch"):
+            attention_cost(params, SMALL, lay, dc, trace=trace)
+
+    # Vanilla steps all cost the same, so only the step and block sequence
+    # tells these from the decode's own trace.
+    @pytest.mark.parametrize("edit", [
+        lambda steps: [replace(s, step=i) for i, s in enumerate(steps)],
+        lambda steps: steps[:1] * 3 + steps[1:],
+        lambda steps: steps[::-1],
+        lambda steps: [],
+        lambda steps: steps[:-1] + [replace(steps[-1], block=0)],
+    ], ids=["renumbered-from-0", "step-1-thrice", "reversed", "no-steps",
+            "last-block-back-to-0"])
+    def test_trace_steps_no_decode_writes_rejected(self, edit):
+        lay = small_layout()
+        dc = DecodeConfig(32, 16, 16, tokens_per_step=2)
+        params = EngineParams(kind="vanilla")
+        w = init_weights(SMALL, 42)
+        wk = make_workload(lay, SMALL, 42)
+        eng = make_engine(params, w, lay, wk.visual_embeddings, wk.prompt_tokens)
+        _, trace = decode(eng, lay, dc)
+        attention_cost(params, SMALL, lay, dc, trace=trace)
+        trace.steps = edit(trace.steps)
+        with pytest.raises(ValueError, match=r"trace steps must be 1\.\.n"):
             attention_cost(params, SMALL, lay, dc, trace=trace)
 
     def test_read_only_over_engine_state(self):

@@ -403,6 +403,20 @@ class TestAnalyzeCommand:
         assert err.startswith("config error: analyze.trace: trace/plan mismatch")
         assert not (tmp_path / "out/cost.csv").exists()
 
+    def test_cost_rejects_trace_with_steps_reversed(self, tmp_path, capsys):
+        decode_cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "run"))
+        assert main(["decode", "--config", decode_cfg]) == 0
+        path = tmp_path / "run/trace.jsonl"
+        header, *steps = path.read_text().splitlines()
+        path.write_text("\n".join([header, *steps[::-1]]) + "\n")
+        cost_cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"),
+                             analyze={"trace": str(path)})
+        assert main(["analyze", "--config", cost_cfg, "--mode", "cost"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: analyze.trace: trace steps must be 1..n (n >= 1) "
+            "with blocks that never decrease\n")
+        assert not (tmp_path / "out/cost.csv").exists()
+
     def test_drift_csv(self, tmp_path):
         cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))
         assert main(["analyze", "--config", cfg, "--mode", "drift"]) == 0

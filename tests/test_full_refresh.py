@@ -1,12 +1,12 @@
 """Full refreshes run the cached sweep like every other plan. These tests
 check them against the model's plain forward pass, which runs the same
-transformer layer without the caches: a vanilla decode step by step, and the
-anchor plan mars fixes at step 1 against proxies scored from forward's
-activations. Since that layer code is shared, each engine's first step is
-also checked against the loop-based oracle in reference.py, and so is a
-chunked step, whose visual rows see only what each group's anchor plan lets
-them. The engines reject causal models, so every case here is
-bidirectional."""
+transformer layer without the caches: every vanilla step, every dual_cache
+block start and mars's step 1, and the anchor plan mars fixes at step 1
+against proxies scored from forward's activations. Since that layer code is
+shared, each engine's first step is also checked against the loop-based
+oracle in reference.py, and so is a chunked step, whose visual rows see only
+what each group's anchor plan lets them. The engines reject causal models,
+so every case here is bidirectional."""
 
 import numpy as np
 import pytest
@@ -68,37 +68,69 @@ def forward_of(weights, layout, work, state):
     return forward(weights, emb, layout.position_ids)
 
 
+# Which steps of each engine are full refreshes, given (t, block_start).
+FULL_REFRESH_STEPS = {
+    "vanilla": lambda t, block_start: True,
+    "dual_cache": lambda t, block_start: block_start,
+    "mars": lambda t, block_start: t == 1,
+}
+
+
+def full_refresh_params(kind, groups):
+    if kind != "mars":
+        return EngineParams(kind=kind)
+    return EngineParams(
+        kind="mars", schedule=RefreshSchedule.uniform_modality((2,) * groups),
+        anchor_budgets=(2,) * groups, sample_size=8,
+    )
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_vanilla_steps_equal_forward(case):
+    # Every vanilla step, every dual_cache block start and mars's step 1 are
+    # full refreshes, so each leaves the caches and boundary states equal to
+    # forward's activations.
     weights, layout, dc, work = setup(case)
     cfg = weights.config
-    session = make_engine(
-        EngineParams(kind="vanilla"), weights, layout,
-        work.visual_embeddings, work.prompt_tokens,
-    )
-    checked = []
+    for kind, is_full in FULL_REFRESH_STEPS.items():
+        session = make_engine(
+            full_refresh_params(kind, cfg.num_groups), weights, layout,
+            work.visual_embeddings, work.prompt_tokens,
+        )
+        checked = []
 
-    class Checked:
-        name = session.name
+        class Checked:
+            name = session.name
+            block = None
 
-        def step(self, t, state):
-            logits, record = session.step(t, state)
-            ref_logits, acts = forward_of(weights, layout, work, state)
-            span = layout.block_span(state.active_block)
-            assert np.array_equal(logits, ref_logits[span.start : span.stop])
-            for l in range(cfg.num_layers):
-                assert np.array_equal(session.cache_k[l], acts.keys[l])
-                assert np.array_equal(session.cache_v[l], acts.values[l])
-            for g in range(1, cfg.num_groups):
-                assert np.array_equal(
-                    session.group_inputs[g], acts.hidden[cfg.group_boundaries[g]]
-                )
-            assert np.array_equal(session.hidden, acts.hidden[-1])
-            checked.append(t)
-            return logits, record
+            def step(self, t, state):
+                block_start = state.active_block != self.block
+                self.block = state.active_block
+                logits, record = session.step(t, state)
+                if not is_full(t, block_start):
+                    return logits, record
+                ref_logits, acts = forward_of(weights, layout, work, state)
+                span = layout.block_span(state.active_block)
+                assert np.array_equal(logits, ref_logits[span.start : span.stop])
+                for l in range(cfg.num_layers):
+                    assert np.array_equal(session.cache_k[l], acts.keys[l])
+                    assert np.array_equal(session.cache_v[l], acts.values[l])
+                for g in range(1, cfg.num_groups):
+                    assert np.array_equal(
+                        session.boundary[g], acts.hidden[cfg.group_boundaries[g]]
+                    )
+                assert np.array_equal(session.boundary[-1], acts.hidden[-1])
+                checked.append(t)
+                return logits, record
 
-    _, trace = decode(Checked(), layout, dc)
-    assert checked == [s.step for s in trace.steps] and len(checked) > 2
+        _, trace = decode(Checked(), layout, dc)
+        expected = {
+            "vanilla": [s.step for s in trace.steps],
+            "dual_cache": [next(s.step for s in trace.steps if s.block == b)
+                           for b in sorted({s.block for s in trace.steps})],
+            "mars": [1],
+        }[kind]
+        assert checked == expected and len(trace.steps) > 2
 
 
 def anchors_from_forward(weights, layout, work, state, params):

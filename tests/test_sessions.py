@@ -1,5 +1,5 @@
-"""Engine sessions: reuse across decodes and configuration checks at build
-time."""
+"""Engine sessions: reuse across decodes, the rows a cached step rewrites,
+and configuration checks at build time."""
 
 from dataclasses import replace
 
@@ -18,6 +18,7 @@ from marscache import (
     make_engine,
     make_workload,
 )
+from marscache.engines import step_plan
 
 SMALL = ModelConfig(
     num_layers=4, num_heads=2, model_dim=32, head_dim=16, vocab_size=64,
@@ -61,6 +62,51 @@ def test_reused_session_decodes_like_a_fresh_one(kind, generation):
     assert np.array_equal(tokens, fresh_tokens)
     assert records(trace) == records(fresh_trace)
     attention_cost(params, SMALL, lay, dc, trace=trace)  # raises on mismatch
+
+
+@pytest.mark.parametrize("kind", ["dual_cache", "mars"])
+def test_cached_step_leaves_rows_outside_its_live_set_unchanged(kind):
+    # In group g a step's live rows are the active block plus each modality
+    # whose entry group is at most g; every other row of boundary[g + 1] and
+    # of g's key/value caches keeps its bits.
+    lay = default_layout(vocab_size=SMALL.vocab_size)
+    dc = DecodeConfig(64, 32, 32, tokens_per_step=2)
+    params = params_for(kind)
+    eng = session(params, lay)
+    visual = np.arange(lay.total_length) < lay.visual_length
+    partial_plans = []
+
+    class Checked:
+        name = eng.name
+        block = None
+
+        def step(self, t, state):
+            plan = step_plan(params, t, state.active_block != self.block)
+            self.block = state.active_block
+            boundary, keys, values = ([a.copy() for a in arrays]
+                                      for arrays in (eng.boundary, eng.cache_k, eng.cache_v))
+            out = eng.step(t, state)
+            live = np.zeros(lay.total_length, dtype=bool)
+            span = lay.block_span(state.active_block)
+            live[span.start:span.stop] = True
+            for g in range(SMALL.num_groups):
+                if plan.entry_visual is not None and plan.entry_visual <= g:
+                    live |= visual
+                if plan.entry_text is not None and plan.entry_text <= g:
+                    live |= ~visual
+                kept = ~live
+                assert np.array_equal(eng.boundary[g + 1][kept], boundary[g + 1][kept])
+                for l in SMALL.group_layers(g):
+                    assert np.array_equal(eng.cache_k[l][:, kept], keys[l][:, kept])
+                    assert np.array_equal(eng.cache_v[l][:, kept], values[l][:, kept])
+            if (plan.entry_visual, plan.entry_text) != (0, 0):
+                partial_plans.append(plan)
+            return out
+
+    decode(Checked(), lay, dc)
+    assert len(partial_plans) > 10
+    if kind == "mars":
+        assert any(p.entry_visual != p.entry_text for p in partial_plans)
 
 
 @pytest.mark.parametrize("bad, message", [
