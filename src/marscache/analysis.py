@@ -200,10 +200,11 @@ def attention_cost(
     the same `plan_cost` with the same arguments as in the engine, so its
     chunked visual rows count `mars.anchor_visibility_count`. With a trace, the
     step -> block mapping is taken from the trace, whose steps must be 1..n
-    (n >= 1) with blocks that never decrease, and every recorded per-step
-    count is checked against the analytic value; any mismatch raises. Without
-    a trace, block b runs min(budget_b, ceil(len_b / tokens_per_step)) steps;
-    threshold-mode step counts depend on the decode, so they need the trace."""
+    (n >= 1) with blocks that never decrease and whose last step leaves no
+    position masked, and every recorded per-step count is checked against
+    the analytic value; any mismatch raises. Without a trace, block b runs
+    min(budget_b, ceil(len_b / tokens_per_step)) steps; threshold-mode step
+    counts depend on the decode, so they need the trace."""
     validate_params(engine_params, model_config, layout)
     tps = decode_config.tokens_per_step
     if trace is not None:
@@ -211,6 +212,9 @@ def attention_cost(
         steps, blocks = [t for t, _ in step_blocks], [b for _, b in step_blocks]
         if not steps or steps != list(range(1, len(steps) + 1)) or blocks != sorted(blocks):
             raise ValueError("trace steps must be 1..n (n >= 1) with blocks that never decrease")
+        if trace.steps[-1].masked_remaining != 0:
+            raise ValueError(f"trace ends at step {steps[-1]} with "
+                             f"{trace.steps[-1].masked_remaining} positions still masked")
     elif tps is None:
         raise ValueError(
             "threshold-mode step counts depend on the decode; pass its trace"

@@ -159,6 +159,12 @@ def forward_mask(clean_tokens, t: float, rng: RandomStream, mask_token_id: int) 
     return DiffusionState(token_ids=tokens, mask_flags=flags)
 
 
+def _check_token_ids(name: str, ids: np.ndarray, vocab_size: int) -> None:
+    """Raise ValueError unless every id indexes a row of the embedding table."""
+    if np.any((ids < 0) | (ids >= vocab_size)):
+        raise ValueError(f"{name} token ids outside [0, {vocab_size})")
+
+
 def assemble_embeddings(
     weights: Weights,
     layout: SequenceLayout,
@@ -179,6 +185,8 @@ def assemble_embeddings(
         raise ValueError("prompt length != layout prompt_length")
     if response.shape[0] != layout.generation_length:
         raise ValueError("response length != layout generation_length")
+    _check_token_ids("prompt", prompt, weights.config.vocab_size)
+    _check_token_ids("response", response, weights.config.vocab_size)
     return np.concatenate(
         (visual_embeddings, weights.embedding[prompt], weights.embedding[response])
     )
@@ -201,6 +209,9 @@ def dlm_loss(
     if not 0.0 < t <= 1.0:
         raise ValueError("t must lie in (0, 1]: t=0 has no masked positions")
     clean = np.asarray(clean_response, dtype=np.int64)
+    # Masked positions reach the embeddings as [MASK], but their clean ids
+    # index the log-probabilities below.
+    _check_token_ids("response", clean, weights.config.vocab_size)
     state = forward_mask(clean, t, rng, layout.mask_token_id)
     emb = assemble_embeddings(
         weights, layout, visual_embeddings, prompt_tokens, state.token_ids

@@ -178,7 +178,9 @@ class EngineSession:
     """Decode session for any engine kind. Reusable: step 1 of every decode
     is a full refresh that rebuilds every cache and, for mars, the anchor
     plan, the session's only chunk state: a chunked sweep builds each
-    group's key sets from the plan when it reaches that group."""
+    group's key sets from the plan when it reaches that group. The K/V caches
+    and boundary[1:] are allocated uninitialised, because step 1 writes all
+    of them before any read."""
 
     def __init__(
         self,
@@ -196,14 +198,18 @@ class EngineSession:
         cfg = weights.config
         total = layout.total_length
         self.cos, self.sin = rotary_phases(layout.position_ids, cfg.head_dim)
+        # The caches and boundary[1:] start uninitialised: step_plan gives
+        # every engine StepPlan(0, 0) at t = 1, whose sweep writes every row
+        # of every layer's K/V and every boundary before anything reads it,
+        # and step raises if a fresh session's first plan is not that refresh.
         shape = (cfg.num_heads, total, cfg.head_dim)
-        self.cache_k = [np.zeros(shape) for _ in range(cfg.num_layers)]
-        self.cache_v = [np.zeros(shape) for _ in range(cfg.num_layers)]
+        self.cache_k = [np.empty(shape) for _ in range(cfg.num_layers)]
+        self.cache_v = [np.empty(shape) for _ in range(cfg.num_layers)]
         # boundary[g] holds the hidden states entering group g (the embeddings
         # for g = 0); boundary[G] holds those leaving the last layer.
         response = np.full(layout.generation_length, layout.mask_token_id)
         emb = assemble_embeddings(weights, layout, visual_embeddings, prompt_tokens, response)
-        self.boundary = [emb] + [np.zeros_like(emb) for _ in range(cfg.num_groups)]
+        self.boundary = [emb] + [np.empty_like(emb) for _ in range(cfg.num_groups)]
         self.cached_block: int | None = None
         self.plan: AnchorPlan | None = None
 

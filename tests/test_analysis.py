@@ -278,6 +278,19 @@ class TestAttentionCost:
         with pytest.raises(ValueError, match=r"trace steps must be 1\.\.n"):
             attention_cost(params, SMALL, lay, dc, trace=trace)
 
+    def test_trace_that_stops_before_its_decode_finished_rejected(self):
+        lay = small_layout()
+        dc = DecodeConfig(32, 16, 16, tokens_per_step=2)
+        params = EngineParams(kind="vanilla")
+        w = init_weights(SMALL, 42)
+        wk = make_workload(lay, SMALL, 42)
+        eng = make_engine(params, w, lay, wk.visual_embeddings, wk.prompt_tokens)
+        _, trace = decode(eng, lay, dc)
+        trace.steps = trace.steps[:5]
+        with pytest.raises(ValueError, match="trace ends at step 5 with 22 positions "
+                                             "still masked"):
+            attention_cost(params, SMALL, lay, dc, trace=trace)
+
     def test_read_only_over_engine_state(self):
         lay = small_layout()
         dc = DecodeConfig(32, 16, 16, tokens_per_step=2)

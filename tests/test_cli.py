@@ -417,6 +417,21 @@ class TestAnalyzeCommand:
             "with blocks that never decrease\n")
         assert not (tmp_path / "out/cost.csv").exists()
 
+    def test_cost_rejects_trace_that_stops_before_its_decode_finished(self, tmp_path,
+                                                                      capsys):
+        decode_cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "run"))
+        assert main(["decode", "--config", decode_cfg]) == 0
+        path = tmp_path / "run/trace.jsonl"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:6]) + "\n")  # the header and steps 1-5
+        cost_cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"),
+                             analyze={"trace": str(path)})
+        assert main(["analyze", "--config", cost_cfg, "--mode", "cost"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: analyze.trace: trace ends at step 5 with 22 positions "
+            "still masked\n")
+        assert not (tmp_path / "out/cost.csv").exists()
+
     def test_drift_csv(self, tmp_path):
         cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "out"))
         assert main(["analyze", "--config", cfg, "--mode", "drift"]) == 0

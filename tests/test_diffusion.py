@@ -18,7 +18,7 @@ from marscache import (
     seeded_stream,
     select_unmask,
 )
-from marscache.diffusion import DecodeTrace, SequenceLayout, StepRecord
+from marscache.diffusion import DecodeTrace, SequenceLayout, StepRecord, assemble_embeddings
 
 TOY = ModelConfig()
 SMALL = ModelConfig(
@@ -153,6 +153,51 @@ class TestDlmLoss:
                 w, lay, wk.visual_embeddings, wk.prompt_tokens, clean, 0.0,
                 seeded_stream(1, "mask"),
             )
+
+
+class TestTokenIdRange:
+    # -1 would index the [MASK] row (the last one) and vocab_size past the end.
+    @pytest.mark.parametrize("bad", [-1, 256])
+    @pytest.mark.parametrize("segment", ["prompt", "response"])
+    def test_assemble_embeddings_rejects_ids_outside_vocab(self, segment, bad):
+        w = init_weights(TOY, 42)
+        lay = default_layout()
+        wk = make_workload(lay, TOY, 42)
+        tokens = {"prompt": wk.prompt_tokens.copy(),
+                  "response": np.zeros(lay.generation_length, np.int64)}
+        tokens[segment][3] = bad
+        with pytest.raises(ValueError, match=fr"{segment} token ids outside \[0, 256\)"):
+            assemble_embeddings(w, lay, wk.visual_embeddings, tokens["prompt"],
+                                tokens["response"])
+
+    @pytest.mark.parametrize("bad", [-1, 256])
+    def test_make_engine_rejects_prompt_ids_outside_vocab(self, bad):
+        lay = default_layout()
+        wk = make_workload(lay, TOY, 42)
+        prompt = wk.prompt_tokens.copy()
+        prompt[0] = bad
+        with pytest.raises(ValueError, match=r"prompt token ids outside \[0, 256\)"):
+            make_engine(EngineParams(kind="vanilla"), init_weights(TOY, 42), lay,
+                        wk.visual_embeddings, prompt)
+
+    @pytest.mark.parametrize("bad", [-1, 256])
+    def test_dlm_loss_rejects_response_ids_outside_vocab(self, bad):
+        w, lay, wk, clean = TestDlmLoss._workload()
+        clean[5] = bad
+        with pytest.raises(ValueError, match=r"response token ids outside \[0, 256\)"):
+            dlm_loss(w, lay, wk.visual_embeddings, wk.prompt_tokens, clean, 1.0,
+                     seeded_stream(1, "mask"))
+
+    def test_ids_at_both_ends_of_the_vocab_accepted(self):
+        w = init_weights(TOY, 42)
+        lay = default_layout()
+        wk = make_workload(lay, TOY, 42)
+        prompt = wk.prompt_tokens.copy()
+        prompt[:2] = (0, lay.mask_token_id)
+        response = np.full(lay.generation_length, lay.mask_token_id)
+        emb = assemble_embeddings(w, lay, wk.visual_embeddings, prompt, response)
+        assert np.array_equal(emb[lay.prompt_span.start], w.embedding[0])
+        assert np.array_equal(emb[lay.prompt_span.start + 1], w.embedding[255])
 
 
 class TestSelectUnmask:

@@ -19,6 +19,7 @@ from marscache import (
     make_workload,
 )
 from marscache.engines import step_plan
+from marscache.presets import engine_params_from_dict, merge_presets
 
 SMALL = ModelConfig(
     num_layers=4, num_heads=2, model_dim=32, head_dim=16, vocab_size=64,
@@ -62,6 +63,35 @@ def test_reused_session_decodes_like_a_fresh_one(kind, generation):
     assert np.array_equal(tokens, fresh_tokens)
     assert records(trace) == records(fresh_trace)
     attention_cost(params, SMALL, lay, dc, trace=trace)  # raises on mismatch
+
+
+def poison(eng):
+    for array in (*eng.cache_k, *eng.cache_v, *eng.boundary[1:]):
+        array.fill(np.nan)
+
+
+# The caches and boundary[1:] are allocated uninitialised, so step 1 must write
+# every entry of them before any is read: a NaN left in any of them and read
+# reaches the logits. The mars schedule refreshes text and visual entries at
+# different steps.
+@pytest.mark.parametrize("commit", [dict(tokens_per_step=2), dict(confidence_threshold=0.05)],
+                         ids=["count", "threshold"])
+@pytest.mark.parametrize("name", [*KINDS, "degenerate-full"])
+def test_step_1_writes_every_cache_before_any_read(name, commit):
+    lay = default_layout(vocab_size=SMALL.vocab_size)
+    dc = DecodeConfig(64, 32, 32, **commit)
+    params = (engine_params_from_dict(merge_presets([name])) if name == "degenerate-full"
+              else params_for(name))
+    tokens, trace = decode(session(params, lay), lay, dc, collect_logits=True)
+    eng = session(params, lay)
+    for _ in range(2):  # a fresh session, then the same session reused
+        poison(eng)
+        poisoned_tokens, poisoned = decode(eng, lay, dc, collect_logits=True)
+        assert np.array_equal(poisoned_tokens, tokens)
+        assert records(poisoned) == records(trace)
+        assert len(poisoned.logits_per_step) == len(trace.logits_per_step)
+        for got, want in zip(poisoned.logits_per_step, trace.logits_per_step):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("kind", ["dual_cache", "mars"])
