@@ -11,9 +11,9 @@ over their chunked key sets:
   and afterwards refreshes (group, modality) context whenever t is a multiple
   of its interval.
 
-Every plan runs the same shallow-to-deep sweep, in which the set of live
-(recomputed) rows grows monotonically with depth; everything not live is
-served from the per-layer key/value caches and group-boundary states. A full
+Every plan runs the same shallow-to-deep sweep over the live (recomputed)
+rows that `live_rows`, and nothing else, gives each group; they grow with
+depth, and the rest is served from the K/V caches and boundary states. A full
 refresh is the plan whose rows are all live from group 0. A chunked plan
 derives each group's key sets from the anchor plan when the sweep reaches
 that group, so a non-anchor visual row scores only its frame's neighborhood
@@ -38,6 +38,7 @@ from .mars import (
     equidistant_indices,
     proxy_scores,
     refresh_due,
+    require_int,
     resolve_budgets,
     select_anchors,
 )
@@ -94,7 +95,7 @@ def validate_params(
         raise ValueError(
             f"{len(params.anchor_budgets)} anchor budgets given, model has {groups} groups"
         )
-    if not 1 <= params.sample_size <= layout.total_length:
+    if not 1 <= require_int(params.sample_size, "sample_size") <= layout.total_length:
         raise ValueError(
             f"sample size {params.sample_size} outside [1, {layout.total_length}]"
         )
@@ -103,10 +104,10 @@ def validate_params(
 
 @dataclass(frozen=True)
 class StepPlan:
-    """One step's refresh decision. Active-block rows are always recomputed;
-    visual and text-context rows join the sweep at their entry group and stay
-    live through every deeper group (None: served from the caches). The full
-    refresh, which rewrites every cache, is StepPlan(0, 0)."""
+    """One step's refresh decision, which live_rows turns into rows. Active-block
+    rows are always live; visual and text-context rows join at their entry
+    group and stay live through every deeper group (None: served from the
+    caches). The full refresh, which rewrites every cache, is StepPlan(0, 0)."""
 
     entry_visual: int | None
     entry_text: int | None
@@ -132,6 +133,18 @@ def step_plan(params: EngineParams, t: int, block_start: bool) -> StepPlan:
     return StepPlan(entry[VISUAL], entry[TEXT], chunked=entry[VISUAL] is not None)
 
 
+def live_rows(plan: StepPlan, layout: SequenceLayout, block: int, g: int) -> np.ndarray:
+    """Group g's live rows, ascending: the active block, plus every visual row
+    [0, V) once g reaches entry_visual and every row [V, L) once g reaches
+    entry_text. The one place that sets which rows a group recomputes."""
+    v, span = layout.visual_length, layout.block_span(block)
+    live = np.zeros(layout.total_length, dtype=bool)
+    live[:v] = plan.entry_visual is not None and g >= plan.entry_visual
+    live[v:] = plan.entry_text is not None and g >= plan.entry_text
+    live[span.start:span.stop] = True
+    return np.flatnonzero(live)
+
+
 def plan_cost(
     plan: StepPlan,
     params: EngineParams,
@@ -141,19 +154,16 @@ def plan_cost(
     block: int,
 ) -> StepRecord:
     """The step record implied by a plan: score entries, proxy entries,
-    recomputed row-layers and refreshed groups. Chunked visual rows of group
-    g count anchor_visibility_count at g's budget, which holds for whichever
-    anchors step 1 selects."""
+    recomputed row-layers (group g's from live_rows) and refreshed groups.
+    Chunked visual rows of group g count anchor_visibility_count at g's
+    budget, which holds for whichever anchors step 1 selects."""
     cfg, lay = model_config, layout
     total, vis = lay.total_length, lay.visual_length
-    blk = len(lay.block_span(block))
     budgets = resolve_budgets(params.anchor_budgets, lay.patches_per_frame)
     entries = rows = 0
     for g in range(cfg.num_groups):
-        visual_live = plan.entry_visual is not None and g >= plan.entry_visual
-        text_live = plan.entry_text is not None and g >= plan.entry_text
-        live = blk + (vis if visual_live else 0) + (total - vis - blk if text_live else 0)
-        if visual_live and plan.chunked:
+        live = live_rows(plan, lay, block, g).size
+        if plan.chunked and g >= plan.entry_visual:
             layer_entries = (live - vis) * total + anchor_visibility_count(lay, budgets[g])
         else:
             layer_entries = live * total
@@ -267,21 +277,8 @@ class EngineSession:
         coherently. Returns the active-block logits."""
         cfg = self.weights.config
         lay = self.layout
-        span = lay.block_span(block)
-        active = np.arange(span.start, span.stop)
-        vis_rows = np.arange(lay.visual_length)
-        # Prompt plus every response position outside the active block.
-        text_rows = np.concatenate((
-            np.arange(lay.visual_length, span.start),
-            np.arange(span.stop, lay.total_length),
-        ))
-
-        live = active
         for g in range(cfg.num_groups):
-            for entry, rows in ((plan.entry_visual, vis_rows), (plan.entry_text, text_rows)):
-                if entry == g:
-                    live = np.union1d(live, rows)
-
+            live = live_rows(plan, lay, block, g)
             cos, sin = self.cos[live], self.sin[live]
             key_sets = None
             if plan.chunked and g >= plan.entry_visual:
@@ -294,7 +291,8 @@ class EngineSession:
                                   self.cache_k[l], self.cache_v[l], live, key_sets)
             self.boundary[g + 1][live] = x
 
-        return rms_norm(self.boundary[-1][active], self.weights.final_norm) @ self.weights.head
+        active = self.boundary[-1][lay.block_span(block)]
+        return rms_norm(active, self.weights.final_norm) @ self.weights.head
 
 
 def make_engine(

@@ -15,6 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -26,6 +27,13 @@ VISUAL = "visual"
 TEXT = "text_context"
 
 
+def require_int(value, name: str) -> int:
+    """value as an int; a non-int, a bool included, raises ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RefreshSchedule:
     """Per-(group, modality) refresh intervals, shallow to deep."""
@@ -34,8 +42,10 @@ class RefreshSchedule:
     tau_visual: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tau_text", tuple(int(x) for x in self.tau_text))
-        object.__setattr__(self, "tau_visual", tuple(int(x) for x in self.tau_visual))
+        for name in ("tau_text", "tau_visual"):
+            taus = tuple(require_int(x, f"{name}[{g}]")
+                         for g, x in enumerate(getattr(self, name)))
+            object.__setattr__(self, name, taus)
         validate_schedule(self)
 
     @classmethod
@@ -93,17 +103,14 @@ def neighborhood(layout: SequenceLayout, n: int) -> np.ndarray:
 
 
 def anchor_visibility_count(layout: SequenceLayout, budget: int) -> int:
-    """Visible-key count of visual_key_visibility for any anchor set with
-    exactly `budget` anchors in every frame: anchor rows see all L keys, and a
-    non-anchor row in frame n sees neighborhood(n) plus the anchors outside
-    it. Budget 0 gives plain frame-wise chunk attention."""
-    p = layout.patches_per_frame
-    count = 0
-    for n in range(1, layout.num_frames + 1):
-        nb = neighborhood(layout, n).size
-        outside = (layout.num_frames - nb // p) * budget
-        count += budget * layout.total_length + (p - budget) * (nb + outside)
-    return count
+    """Visible-key count of the visual rows' chunk_key_sets (a slice(None) key
+    set counts all L keys), with each frame's first `budget` patches as its
+    anchors; the count is the same for any anchor set with exactly `budget`
+    anchors in every frame. Budget 0 gives plain frame-wise chunk attention."""
+    anchors = [i for n in range(1, layout.num_frames + 1)
+               for i in layout.frame_span(n)[:budget]]
+    return sum(rows.size * (layout.total_length if isinstance(keys, slice) else keys.size)
+               for rows, keys in chunk_key_sets(layout, anchors, layout.visual_length))
 
 
 def chunk_key_sets(layout: SequenceLayout, anchors, num_rows: int) -> list[tuple]:
@@ -193,8 +200,8 @@ class AnchorPlan:
 def resolve_budgets(budgets, patches_per_frame: int) -> tuple[int, ...]:
     """Map the "full" sentinel to the frame size and validate monotonicity."""
     out = []
-    for k in budgets:
-        k = patches_per_frame if k == "full" else int(k)
+    for g, k in enumerate(budgets):
+        k = patches_per_frame if k == "full" else require_int(k, f"anchor_budgets[{g}]")
         if k < 0 or k > patches_per_frame:
             raise ValueError(
                 f"anchor budget {k} outside [0, patches_per_frame={patches_per_frame}]"

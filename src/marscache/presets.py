@@ -78,5 +78,5 @@ def engine_params_from_dict(data: dict) -> EngineParams:
     if "anchor_budgets" in data:
         options["anchor_budgets"] = tuple(data["anchor_budgets"])
     if "sample_size" in data:
-        options["sample_size"] = int(data["sample_size"])
+        options["sample_size"] = data["sample_size"]
     return EngineParams(kind="mars", **options)

@@ -25,7 +25,12 @@ from marscache import (
     validate_schedule,
 )
 from marscache import engines, model
-from marscache.mars import anchor_visibility_count, equidistant_indices, visual_key_visibility
+from marscache.mars import (
+    anchor_visibility_count,
+    equidistant_indices,
+    resolve_budgets,
+    visual_key_visibility,
+)
 from reference import brute_force_visual_visibility, relocate_anchors
 
 SMALL = ModelConfig(
@@ -60,6 +65,18 @@ class TestSchedule:
 
     def test_equal_intervals_are_valid_multiples(self):
         validate_schedule(RefreshSchedule.uniform_modality((32, 32, 32, 32)))
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None])
+    @pytest.mark.parametrize("field", ["tau_text", "tau_visual"])
+    def test_non_int_interval_rejected(self, field, bad):
+        taus = dict(tau_text=(4, 1), tau_visual=(4, 2))
+        taus[field] = (taus[field][0], bad)
+        with pytest.raises(ValueError, match=rf"{field}\[1\] must be an int, got {bad!r}"):
+            RefreshSchedule(**taus)
+
+    def test_numpy_int_interval_accepted_as_int(self):
+        s = RefreshSchedule.uniform_modality((np.int64(4), np.int32(2)))
+        assert s.tau_text == (4, 2) and all(type(t) is int for t in s.tau_visual)
 
     def test_refresh_due(self):
         s = RefreshSchedule.uniform_modality((64, 32, 16, 8))
@@ -235,6 +252,20 @@ class TestSelectAnchors:
         proxy = np.ones((2, lay.visual_length))
         with pytest.raises(ValueError):
             select_anchors([proxy], lay, budgets=[lay.patches_per_frame + 1])
+
+    @pytest.mark.parametrize("budgets, index, bad", [
+        ((2.7, True, "1", 0), 0, 2.7),
+        ((3, True, 1, 0), 1, True),
+        ((3, 2, "1", 0), 2, "1"),
+        (("full", 2.0), 1, 2.0),
+    ])
+    def test_non_int_budget_rejected(self, budgets, index, bad):
+        with pytest.raises(ValueError,
+                           match=rf"anchor_budgets\[{index}\] must be an int, got {bad!r}"):
+            resolve_budgets(budgets, 16)
+
+    def test_full_and_numpy_int_budgets_resolved(self):
+        assert resolve_budgets(("full", np.int64(3), 0), 16) == (16, 3, 0)
 
     def test_budgets_must_be_non_increasing(self):
         lay = small_layout()

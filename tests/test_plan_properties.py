@@ -1,8 +1,9 @@
 """Property tests over random small layouts, divisible refresh schedules and
 anchor budgets, for every engine kind: recorded entries equal the brute-force
 plan enumeration (count mode) and the cost model on the decode's own trace
-(threshold mode), a degenerate mars run equals vanilla, and every decode
-terminates with no masks left."""
+(threshold mode), a degenerate mars run equals vanilla, every decode
+terminates with no masks left, and every plan's live row sets keep the
+invariants the sweep relies on."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from marscache import (
     make_engine,
     make_workload,
 )
+from marscache.engines import StepPlan, live_rows, step_plan
 from reference import brute_force_step_entries
 
 VOCAB = 32
@@ -148,3 +150,31 @@ def test_threshold_mode_plans_match_cost_model_and_degenerate_mars_matches_vanil
     assert len(trace_v.steps) == len(trace_m.steps)
     for a, b in zip(trace_v.logits_per_step, trace_m.logits_per_step):
         assert np.max(np.abs(a - b)) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases())
+def test_live_rows_ascend_hold_the_block_and_grow_with_depth(case):
+    layout, model, mars, _ = case
+    v, total, groups = layout.visual_length, layout.total_length, model.num_groups
+    horizon = 2 * mars["schedule"].tau_visual[0] + 1
+    plans = {StepPlan(0, 0)} | {
+        step_plan(EngineParams(kind=kind, **(mars if kind == "mars" else {})), t, start)
+        for kind in ("vanilla", "dual_cache", "mars")
+        for t in range(1, horizon + 1)
+        for start in (True, False)
+    }
+    for plan in plans:
+        for block in range(layout.num_blocks):
+            span = layout.block_span(block)
+            sets = [live_rows(plan, layout, block, g) for g in range(groups)]
+            for g, live in enumerate(sets):
+                assert np.all(np.diff(live) > 0), (plan, g)
+                assert np.isin(np.arange(span.start, span.stop), live).all(), (plan, g)
+                if g + 1 < groups:
+                    assert np.isin(live, sets[g + 1]).all(), (plan, g)
+                if live[0] < v:
+                    # The sweep hands chunk_key_sets the visual segment first.
+                    assert np.array_equal(live[:v], np.arange(v)), (plan, g)
+                if (plan.entry_visual, plan.entry_text) == (0, 0):
+                    assert np.array_equal(live, np.arange(total)), (plan, g)

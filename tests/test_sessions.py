@@ -144,6 +144,11 @@ def test_cached_step_leaves_rows_outside_its_live_set_unchanged(kind):
     (dict(schedule=RefreshSchedule.uniform_modality((4, 2))),
      "schedule covers 2 groups, model has 4"),
     (dict(sample_size=0), r"sample size 0 outside \[1, 176\]"),
+    (dict(sample_size=3.9), "sample_size must be an int, got 3.9"),
+    (dict(sample_size=True), "sample_size must be an int, got True"),
+    (dict(anchor_budgets=(2.7, 2, 1, 0)), r"anchor_budgets\[0\] must be an int, got 2.7"),
+    (dict(anchor_budgets=(4, 2, False, 0)),
+     r"anchor_budgets\[2\] must be an int, got False"),
 ])
 def test_config_rejected_alike_by_engine_and_cost_model(bad, message):
     lay = default_layout(generation_length=32, vocab_size=SMALL.vocab_size)
@@ -154,6 +159,14 @@ def test_config_rejected_alike_by_engine_and_cost_model(bad, message):
     with pytest.raises(ValueError, match=message) as costed:
         attention_cost(params, SMALL, lay, dc)
     assert str(built.value) == str(costed.value)
+
+
+def test_preset_sample_size_rejected_not_truncated():
+    lay = default_layout(generation_length=32, vocab_size=SMALL.vocab_size)
+    params = engine_params_from_dict(merge_presets(["degenerate-full"], {"sample_size": 3.9}))
+    assert params.sample_size == 3.9
+    with pytest.raises(ValueError, match="sample_size must be an int, got 3.9"):
+        session(params, lay)
 
 
 @pytest.mark.parametrize("kind", KINDS)
