@@ -41,7 +41,6 @@ from .mars import (
     chunk_attention,
     neighborhood,
     proxy_scores,
-    refresh_due,
     select_anchors,
     validate_schedule,
 )

@@ -29,15 +29,12 @@ import numpy as np
 
 from .diffusion import DiffusionState, SequenceLayout, StepRecord, assemble_embeddings
 from .mars import (
-    TEXT,
-    VISUAL,
     AnchorPlan,
     RefreshSchedule,
     anchor_visibility_count,
     chunk_key_sets,
     equidistant_indices,
     proxy_scores,
-    refresh_due,
     require_int,
     resolve_budgets,
     select_anchors,
@@ -116,21 +113,20 @@ class StepPlan:
 
 
 def step_plan(params: EngineParams, t: int, block_start: bool) -> StepPlan:
-    """The refresh policy: the plan of global step t (1-based), where
-    block_start tells whether t is the first step of its block."""
+    """The refresh policy, the one reader of the refresh clock: the plan of
+    global step t (1-based), where block_start tells whether t is the first
+    step of its block. After step 1 a mars modality enters at the first group
+    whose interval divides t (None if none does); due groups form a suffix."""
+    if t < 1:
+        raise ValueError("step counter is 1-based")
     kind = params.kind
     if t == 1 or kind == "vanilla" or (kind == "dual_cache" and block_start):
         return StepPlan(0, 0, build_anchors=kind == "mars")
     if kind == "dual_cache":
         return StepPlan(None, None)
-    # The due groups form a depth suffix, so the shallowest one is the entry.
-    schedule = params.schedule
-    entry = {
-        m: next((g for g in range(schedule.num_groups)
-                 if refresh_due(t, g, m, schedule)), None)
-        for m in (VISUAL, TEXT)
-    }
-    return StepPlan(entry[VISUAL], entry[TEXT], chunked=entry[VISUAL] is not None)
+    visual, text = (next((g for g, tau in enumerate(taus) if t % tau == 0), None)
+                    for taus in (params.schedule.tau_visual, params.schedule.tau_text))
+    return StepPlan(visual, text, chunked=visual is not None)
 
 
 def live_rows(plan: StepPlan, layout: SequenceLayout, block: int, g: int) -> np.ndarray:
@@ -253,15 +249,10 @@ class EngineSession:
         proxies = []
         for g in range(cfg.num_groups):
             l0 = cfg.group_boundaries[g]
-            lw = self.weights.layers[l0]
-            x = self.boundary[g][sample_idx]
-            q = layer_queries(lw, x, cos, sin, cfg.num_heads)
-            k = self.cache_k[l0]
-            per_head = [
-                proxy_scores(q[head], k[head], sample_idx, vis_idx)
-                for head in range(cfg.num_heads)
-            ]
-            proxies.append(np.mean(per_head, axis=0))
+            q = layer_queries(self.weights.layers[l0], self.boundary[g][sample_idx],
+                              cos, sin, cfg.num_heads)
+            heads = proxy_scores(q, self.cache_k[l0], sample_idx, vis_idx)
+            proxies.append(np.mean(heads, axis=0))
         self.plan = select_anchors(
             proxies, lay, self.params.anchor_budgets, sample_indices=sample_idx
         )

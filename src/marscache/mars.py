@@ -57,9 +57,6 @@ class RefreshSchedule:
     def num_groups(self) -> int:
         return len(self.tau_text)
 
-    def tau(self, g: int, modality: str) -> int:
-        return (self.tau_visual if modality == VISUAL else self.tau_text)[g]
-
 
 def validate_schedule(schedule: RefreshSchedule) -> None:
     """Check the divisibility chain per modality and the per-group modality
@@ -86,14 +83,6 @@ def validate_schedule(schedule: RefreshSchedule) -> None:
             )
 
 
-def refresh_due(t: int, g: int, modality: str, schedule: RefreshSchedule) -> bool:
-    """True iff step t is a refresh step for (group g, modality). Step 1 is
-    handled separately by the engine as a forced full initialization."""
-    if t < 1:
-        raise ValueError("step counter is 1-based")
-    return t % schedule.tau(g, modality) == 0
-
-
 def neighborhood(layout: SequenceLayout, n: int) -> np.ndarray:
     """Indices of the temporal neighborhood of frame n: the union of frames
     n-1, n, n+1, truncated at the sequence ends."""
@@ -106,7 +95,9 @@ def anchor_visibility_count(layout: SequenceLayout, budget: int) -> int:
     """Visible-key count of the visual rows' chunk_key_sets (a slice(None) key
     set counts all L keys), with each frame's first `budget` patches as its
     anchors; the count is the same for any anchor set with exactly `budget`
-    anchors in every frame. Budget 0 gives plain frame-wise chunk attention."""
+    anchors in every frame. Budget 0 gives plain frame-wise chunk attention;
+    the budget is resolved as one group's anchor budget ("full" is P)."""
+    (budget,) = resolve_budgets((budget,), layout.patches_per_frame)
     anchors = [i for n in range(1, layout.num_frames + 1)
                for i in layout.frame_span(n)[:budget]]
     return sum(rows.size * (layout.total_length if isinstance(keys, slice) else keys.size)
@@ -158,20 +149,20 @@ def equidistant_indices(total: int, count: int) -> np.ndarray:
 def proxy_scores(
     Q: Matrix, K: Matrix, sample_indices, visual_indices
 ) -> Matrix:
-    """Low-rank proxy attention: Q holds the queries of the sampled rows, in
-    sample order, and the rows of the result are softmax(Q K[visual]^T/sqrt(d_k))
-    over the visual keys, then entries where a sampled query attends to itself
-    are zeroed (debiasing). Shape |samples| x |visual|."""
+    """Low-rank proxy attention: Q (..., S, d_k) holds the queries of the S
+    sampled rows, in sample order, K (..., T, d_k) the keys under the same
+    leading (head) axes. The rows of the result are softmax(Q K[visual]^T /
+    sqrt(d_k)) over the visual keys, with entries where a sampled query
+    attends to itself zeroed (debiasing). Shape (..., S, |visual|)."""
     sample_indices = np.asarray(sample_indices, dtype=np.int64)
     visual_indices = np.asarray(visual_indices, dtype=np.int64)
     if sample_indices.size == 0:
         raise ValueError("sample set must be non-empty")
-    if Q.shape[0] != sample_indices.size:
-        raise ValueError(f"{Q.shape[0]} queries for {sample_indices.size} samples")
-    d_k = Q.shape[1]
-    scores = Q @ K[visual_indices].T / np.sqrt(d_k)
+    if Q.shape[-2] != sample_indices.size:
+        raise ValueError(f"{Q.shape[-2]} queries for {sample_indices.size} samples")
+    scores = Q @ np.swapaxes(K[..., visual_indices, :], -1, -2) / np.sqrt(Q.shape[-1])
     probs = softmax_rows(scores)
-    probs[sample_indices[:, None] == visual_indices] = 0.0
+    probs[..., sample_indices[:, None] == visual_indices] = 0.0
     return probs
 
 
@@ -223,10 +214,14 @@ def select_anchors(
 ) -> AnchorPlan:
     """Pick the top-k_g columns per frame from each group's debiased proxy
     matrix (column-summed over sampled queries); ties break to the lower
-    index. Returns the full per-group plan."""
+    index. All frames are ranked in one pass over the (F, P) column sums,
+    and since frames are disjoint and ascending, unions[g] is the ravelled
+    (F, k_g) choice. Returns the full per-group plan."""
     budgets = resolve_budgets(budgets, layout.patches_per_frame)
     if len(proxy_by_group) != len(budgets):
         raise ValueError("one proxy matrix per group is required")
+    frames, patches = layout.num_frames, layout.patches_per_frame
+    offsets = np.arange(frames)[:, None] * patches
     per_frame, unions = [], []
     for g, (proxy, k) in enumerate(zip(proxy_by_group, budgets)):
         if proxy.shape[1] != layout.visual_length:
@@ -234,17 +229,12 @@ def select_anchors(
                 f"group {g}: proxy has {proxy.shape[1]} columns, "
                 f"expected {layout.visual_length}"
             )
-        col_sums = np.sum(proxy, axis=0)
-        frames = []
-        for n in range(1, layout.num_frames + 1):
-            span = layout.frame_span(n)
-            scores = col_sums[span.start : span.stop]
-            # Sort by (-score, index): highest score first, lower index on ties.
-            order = np.lexsort((np.arange(scores.size), -scores))
-            chosen = np.sort(order[:k]) + span.start
-            frames.append(tuple(int(i) for i in chosen))
-        per_frame.append(tuple(frames))
-        unions.append(tuple(sorted({i for f in frames for i in f})))
+        scores = np.sum(proxy, axis=0).reshape(frames, patches)
+        # A stable sort of -score puts the highest score first, lower index on ties.
+        order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        chosen = np.sort(order, axis=1) + offsets
+        per_frame.append(tuple(map(tuple, chosen.tolist())))
+        unions.append(tuple(chosen.ravel().tolist()))
     return AnchorPlan(
         sample_indices=tuple(int(i) for i in sample_indices),
         budgets=budgets,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marscache import (
@@ -19,7 +19,6 @@ from marscache import (
     make_workload,
     neighborhood,
     proxy_scores,
-    refresh_due,
     seeded_stream,
     select_anchors,
     validate_schedule,
@@ -78,12 +77,27 @@ class TestSchedule:
         s = RefreshSchedule.uniform_modality((np.int64(4), np.int32(2)))
         assert s.tau_text == (4, 2) and all(type(t) is int for t in s.tau_visual)
 
-    def test_refresh_due(self):
-        s = RefreshSchedule.uniform_modality((64, 32, 16, 8))
-        assert refresh_due(64, 0, "text_context", s)
-        assert not refresh_due(63, 0, "text_context", s)
-        ones = RefreshSchedule.uniform_modality((1,))
-        assert all(refresh_due(t, 0, "visual", ones) for t in range(1, 20))
+    def test_step_plan_owns_the_refresh_clock(self):
+        pyramid = EngineParams(
+            kind="mars", schedule=RefreshSchedule.uniform_modality((64, 32, 16, 8)),
+            anchor_budgets=(2, 2, 1, 1),
+        )
+        # 64 is a multiple of every interval, 63 of none, 24 of the deepest only.
+        assert engines.step_plan(pyramid, 64, False) == engines.StepPlan(0, 0, chunked=True)
+        assert engines.step_plan(pyramid, 63, False) == engines.StepPlan(None, None)
+        assert engines.step_plan(pyramid, 24, False) == engines.StepPlan(3, 3, chunked=True)
+        ones = EngineParams(kind="mars", schedule=RefreshSchedule.uniform_modality((1,) * 4),
+                            anchor_budgets=(2, 2, 1, 1))
+        for t in range(2, 20):
+            assert engines.step_plan(ones, t, t % 4 == 1) == engines.StepPlan(0, 0, chunked=True)
+
+    @pytest.mark.parametrize("kind", ["vanilla", "dual_cache", "mars"])
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_step_counter_is_one_based_for_every_kind(self, kind, t):
+        params = EngineParams(kind=kind) if kind != "mars" else EngineParams(
+            kind="mars", schedule=RefreshSchedule.uniform_modality((1,)), anchor_budgets=(1,))
+        with pytest.raises(ValueError, match="1-based"):
+            engines.step_plan(params, t, True)
 
 
 class TestNeighborhood:
@@ -122,6 +136,16 @@ class TestChunkAttention:
     def test_entry_count_closed_form(self):
         lay = default_layout()  # N=8, P=16
         assert anchor_visibility_count(lay, 0) == 2 * 16 * 32 + 6 * 16 * 48 == 5632
+
+    @pytest.mark.parametrize("bad", [-1, 17, 2.5, True])
+    def test_entry_count_budget_checked(self, bad):
+        # Out-of-range budgets are rejected, not clipped to a slice of each frame.
+        with pytest.raises(ValueError, match="anchor[ _]budget"):
+            anchor_visibility_count(default_layout(), bad)
+
+    def test_entry_count_full_budget_is_frame_size(self):
+        lay = default_layout()
+        assert anchor_visibility_count(lay, "full") == anchor_visibility_count(lay, 16)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -199,6 +223,22 @@ class TestProxyScores:
         probs = proxy_scores(q[samples], k, samples, np.arange(lay.visual_length))
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_stacked_heads_score_like_single_heads(self):
+        # The engine scores all heads in one call; each head's slice must be
+        # bit-identical to the single-head call, debiased zeros included.
+        lay = small_layout()
+        s = seeded_stream(12, "qk")
+        samples = equidistant_indices(lay.total_length, 8)
+        q = s.normal(size=(3, samples.size, 8))
+        k = s.normal(size=(3, lay.total_length, 8))
+        vis = np.arange(lay.visual_length)
+        stacked = proxy_scores(q, k, samples, vis)
+        single = np.stack([proxy_scores(q[h], k[h], samples, vis) for h in range(3)])
+        assert stacked.shape == (3, samples.size, lay.visual_length)
+        assert np.array_equal(stacked, single)
+        own = np.flatnonzero(samples < lay.visual_length)
+        assert own.size and np.all(stacked[:, own, samples[own]] == 0.0)
+
     def test_queries_are_the_sampled_rows(self):
         with pytest.raises(ValueError, match="3 queries for 2 samples"):
             proxy_scores(np.zeros((3, 2)), np.zeros((4, 2)), [0, 2], [0, 1])
@@ -206,6 +246,20 @@ class TestProxyScores:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             proxy_scores(np.zeros((4, 2)), np.zeros((4, 2)), [], [0, 1])
+
+
+@st.composite
+def anchor_cases(draw):
+    """(frames, patches, budget, proxy): integer proxies from a small range,
+    so that column sums tie often."""
+    frames = draw(st.integers(1, 4), label="frames")
+    patches = draw(st.integers(1, 6), label="patches")
+    budget = draw(st.integers(0, patches), label="budget")
+    rows = draw(st.integers(1, 3), label="samples")
+    cells = st.lists(st.integers(0, 2), min_size=frames * patches,
+                     max_size=frames * patches)
+    proxy = draw(st.lists(cells, min_size=rows, max_size=rows), label="proxy")
+    return frames, patches, budget, np.array(proxy, dtype=np.float64)
 
 
 class TestSelectAnchors:
@@ -221,17 +275,21 @@ class TestSelectAnchors:
         assert plan.per_frame[0] == ((0,), (4,))
         assert plan.unions[0] == (0, 4)
 
-    def test_brute_force_agreement(self):
-        lay = small_layout()
-        s = seeded_stream(6, "proxy")
-        proxy = s.uniform(size=(8, lay.visual_length))
-        plan = select_anchors([proxy], lay, budgets=[2])
+    @settings(max_examples=80, deadline=None)
+    @given(case=anchor_cases())
+    @example(case=(4, 4, 2, seeded_stream(6, "proxy").uniform(size=(8, 16))))
+    def test_brute_force_agreement(self, case):
+        frames, patches, k, proxy = case
+        lay = default_layout(num_frames=frames, patches_per_frame=patches,
+                             prompt_length=1, generation_length=2, block_length=2)
+        plan = select_anchors([proxy], lay, budgets=[k])
         sums = proxy.sum(axis=0)
-        for fr in range(lay.num_frames):
-            span = lay.frame_span(fr + 1)
-            scores = [(-(sums[i]), i) for i in span]
-            expect = tuple(sorted(i for _, i in sorted(scores)[:2]))
-            assert plan.per_frame[0][fr] == expect
+        expect = tuple(
+            tuple(sorted(sorted(lay.frame_span(n), key=lambda i: (-sums[i], i))[:k]))
+            for n in range(1, frames + 1)
+        )
+        assert plan.per_frame[0] == expect
+        assert plan.unions[0] == tuple(sorted(i for frame in expect for i in frame))
 
     def test_saturation(self):
         lay = small_layout()
@@ -485,8 +543,8 @@ class TestEngines:
             anchor_budgets=(3, 2, 2, 1),
         )
         decode(mars, lay, dc)
-        # The sweep builds group g's mask from unions[g]; plan_cost charges
-        # the closed form at g's budget.
+        # The sweep builds group g's key sets from unions[g]; plan_cost
+        # charges their count over chunk_key_sets at g's budget.
         for g, k in enumerate(mars.plan.budgets):
             vis = visual_key_visibility(lay, mars.plan.unions[g])
             assert np.array_equal(vis, brute_force_visual_visibility(lay, mars.plan.unions[g]))
@@ -511,8 +569,8 @@ class TestEngines:
             return attention_of_model(q, k, *args, **kwargs)
 
         def counted_proxies(q, k, sample_indices, visual_indices):
-            # One call per head, each scoring every sample against every patch.
-            scores.append(len(sample_indices) * len(visual_indices))
+            # One call per group, each head scoring every sample against every patch.
+            scores.append(q[..., 0].size * len(visual_indices))
             return proxies_of_engine(q, k, sample_indices, visual_indices)
 
         monkeypatch.setattr(model, "multi_head_attention", counted_attention)
