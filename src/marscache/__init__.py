@@ -4,7 +4,6 @@ refreshing, frame-wise chunk attention, and adaptive anchor-token search,
 benchmarked against vanilla and dual-cache baselines."""
 
 from .analysis import (
-    CostReport,
     DriftRecord,
     attention_cost,
     attention_entropy,
@@ -42,7 +41,6 @@ from .mars import (
     neighborhood,
     proxy_scores,
     select_anchors,
-    validate_schedule,
 )
 from .model import (
     LayerActivations,

@@ -11,7 +11,7 @@ to FLOPs."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -170,44 +170,36 @@ def entropy_profile(weights: Weights, embeddings, position_ids) -> list[float]:
 # Analytic attention-cost model
 # -----------------------------------------------------------------------------
 
-@dataclass
-class CostReport:
-    """Analytic score-entry counts per step, plus recomputed row-layer counts."""
-
-    engine: str
-    per_step_entries: list[int]
-    per_step_rows: list[int]
-
-    @property
-    def total_entries(self) -> int:
-        return sum(self.per_step_entries)
-
-    @property
-    def total_rows(self) -> int:
-        return sum(self.per_step_rows)
-
-
 def attention_cost(
     engine_params: EngineParams,
     model_config: ModelConfig,
     layout: SequenceLayout,
     decode_config: DecodeConfig,
     trace: DecodeTrace | None = None,
-) -> CostReport:
-    """Analytic per-step score-entry counts for an engine's attention plan.
+) -> DecodeTrace:
+    """The decode an engine's attention plan predicts, as a DecodeTrace of
+    engine_params.kind whose steps are `plan_cost`'s StepRecords: step,
+    block, score entries, proxy entries, recomputed row-layers and refreshed
+    groups. committed, elapsed_ns, anchor_digest and masked_remaining keep
+    their defaults, since only the decode knows them.
 
     Each step's plan comes from the engines' refresh policy and is costed by
     the same `plan_cost` with the same arguments as in the engine, so its
-    chunked visual rows count `mars.anchor_visibility_count`. With a trace, the
-    step -> block mapping is taken from the trace, whose steps must be 1..n
-    (n >= 1) with blocks that never decrease and whose last step leaves no
-    position masked, and every recorded per-step count is checked against
-    the analytic value; any mismatch raises. Without a trace, block b runs
+    chunked visual rows count `mars.anchor_visibility_count`. A trace (a
+    decode's record, or a prediction fed back) must be of engine_params.kind,
+    its steps 1..n (n >= 1) with blocks that never decrease and its last step
+    leaving no position masked; its step -> block mapping is taken, and each
+    step's attention_entries, proxy_entries, rows_recomputed,
+    refreshed_visual and refreshed_text must equal the prediction's. Each
+    failed check raises ValueError. Without a trace, block b runs
     min(budget_b, ceil(len_b / tokens_per_step)) steps; threshold-mode step
     counts depend on the decode, so they need the trace."""
     validate_params(engine_params, model_config, layout)
     tps = decode_config.tokens_per_step
     if trace is not None:
+        if trace.engine != engine_params.kind:
+            raise ValueError(f"trace engine {trace.engine!r} "
+                             f"is not the configured {engine_params.kind!r}")
         step_blocks = [(s.step, s.block) for s in trace.steps]
         steps, blocks = [t for t, _ in step_blocks], [b for _, b in step_blocks]
         if not steps or steps != list(range(1, len(steps) + 1)) or blocks != sorted(blocks):
@@ -226,25 +218,23 @@ def attention_cost(
         ]
         step_blocks = list(enumerate(blocks, start=1))
 
-    per_entries, per_rows = [], []
+    predicted = DecodeTrace(engine_params.kind, asdict(decode_config))
     prev_block = None
     for t, block in step_blocks:
         plan = step_plan(engine_params, t, block != prev_block)
-        rec = plan_cost(plan, engine_params, model_config, layout, t, block)
-        per_entries.append(rec.attention_entries + rec.proxy_entries)
-        per_rows.append(rec.rows_recomputed)
+        predicted.steps.append(
+            plan_cost(plan, engine_params, model_config, layout, t, block))
         prev_block = block
 
-    report = CostReport(engine_params.kind, per_entries, per_rows)
     if trace is not None:
-        for rec, predicted in zip(trace.steps, per_entries):
-            recorded = rec.attention_entries + rec.proxy_entries
-            if recorded != predicted:
-                raise ValueError(
-                    f"trace/plan mismatch at step {rec.step}: recorded "
-                    f"{recorded} entries, analytic {predicted}"
-                )
-    return report
+        for rec, analytic in zip(trace.steps, predicted.steps):
+            for name in ("attention_entries", "proxy_entries", "rows_recomputed",
+                         "refreshed_visual", "refreshed_text"):
+                recorded, expected = getattr(rec, name), getattr(analytic, name)
+                if recorded != expected:
+                    raise ValueError(f"trace/plan mismatch at step {rec.step}: "
+                                     f"recorded {name} {recorded}, analytic {expected}")
+    return predicted
 
 
 # -----------------------------------------------------------------------------

@@ -284,24 +284,20 @@ def cmd_analyze(cfg: dict, mode: str) -> int:
     # mode == "cost"
     if opts["trace"] is not None:
         trace = _checked("analyze.trace", DecodeTrace.from_jsonl, opts["trace"])
-        if trace.engine != params.kind:
-            raise ConfigError(f"analyze.trace: trace engine {trace.engine!r} "
-                              f"is not the configured {params.kind!r}")
     else:
         engine = make_engine(
             params, weights, layout, wk.visual_embeddings, wk.prompt_tokens
         )
         _, trace = decode(engine, layout, decode_cfg)
-    report = _checked("analyze.trace", attention_cost,
-                      params, model_cfg, layout, decode_cfg, trace=trace)
-    rows = [
-        [rec.step, rec.block, rec.attention_entries + rec.proxy_entries,
-         analytic, (rec.attention_entries + rec.proxy_entries) - analytic]
-        for rec, analytic in zip(trace.steps, report.per_step_entries)
-    ]
+    predicted = _checked("analyze.trace", attention_cost,
+                         params, model_cfg, layout, decode_cfg, trace=trace)
+    rows = []
+    for rec, analytic in zip(trace.steps, predicted.steps):
+        recorded, expected = (s.attention_entries + s.proxy_entries for s in (rec, analytic))
+        rows.append([rec.step, rec.block, recorded, expected, recorded - expected])
     return _report(cfg, mode,
                    ["step", "block", "entries_recorded", "entries_analytic", "delta"],
-                   rows, f"{len(rows)} steps, total={report.total_entries}")
+                   rows, f"{len(rows)} steps, total={predicted.total_entries()}")
 
 
 def _apply_overrides(user: dict, sets: list[str]) -> None:

@@ -6,6 +6,7 @@ deliberately small and strict."""
 from __future__ import annotations
 
 import hashlib
+from numbers import Integral
 
 import numpy as np
 
@@ -21,6 +22,13 @@ class FullyMaskedRowError(ValueError):
 
 class DegenerateVectorError(ValueError):
     """Cosine similarity against a zero-norm vector."""
+
+
+def require_int(value, name: str) -> int:
+    """value as an int; a non-int, a bool included, raises ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return int(value)
 
 
 def _label_key(label: str) -> int:

@@ -14,7 +14,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import Matrix, RandomStream, as_matrix, softmax_rows
+from .core import Matrix, RandomStream, as_matrix, require_int, softmax_rows
 from .model import Weights, forward
 
 
@@ -34,6 +34,8 @@ class SequenceLayout:
     mask_token_id: int
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, require_int(getattr(self, f.name), f.name))
         if self.num_frames < 1 or self.patches_per_frame < 1:
             raise ValueError("layout needs at least one non-empty frame")
         if self.generation_length < 1 or self.block_length < 1:
@@ -110,6 +112,10 @@ class DecodeConfig:
     confidence_threshold: float | None = None
 
     def __post_init__(self):
+        for name in ("generation_length", "num_steps", "block_length", "tokens_per_step"):
+            value = getattr(self, name)
+            if value is not None or name != "tokens_per_step":
+                object.__setattr__(self, name, require_int(value, name))
         if self.generation_length < 1 or self.block_length < 1:
             raise ValueError("generation_length and block_length must be >= 1")
         if (self.tokens_per_step is None) == (self.confidence_threshold is None):
@@ -121,8 +127,9 @@ class DecodeConfig:
             raise ValueError(
                 f"num_steps {self.num_steps} < number of blocks {len(per_block)}"
             )
-        if self.confidence_threshold is not None and not (
-            0.0 < self.confidence_threshold <= 1.0
+        if self.confidence_threshold is not None and (
+            isinstance(self.confidence_threshold, bool)
+            or not 0.0 < self.confidence_threshold <= 1.0
         ):
             raise ValueError("confidence_threshold must lie in (0, 1]")
         if self.tokens_per_step is not None:
@@ -282,7 +289,10 @@ _STEP_VALUE_CHECKS = {
 
 @dataclass
 class DecodeTrace:
-    """Per-step record of a decode run, serializable to JSON lines."""
+    """Per-step record of a decode run, or the analytic prediction of one
+    (analysis.attention_cost), serializable to JSON lines. A prediction's
+    steps set step, block, the entry and row counts and refreshed_*; only a
+    decode fills committed, elapsed_ns, anchor_digest and masked_remaining."""
 
     engine: str
     config: dict

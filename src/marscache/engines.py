@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import require_int
 from .diffusion import DiffusionState, SequenceLayout, StepRecord, assemble_embeddings
 from .mars import (
     AnchorPlan,
@@ -35,7 +36,6 @@ from .mars import (
     chunk_key_sets,
     equidistant_indices,
     proxy_scores,
-    require_int,
     resolve_budgets,
     select_anchors,
 )

@@ -15,28 +15,20 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
-from .core import Matrix, softmax_rows
+from .core import Matrix, require_int, softmax_rows
 from .diffusion import SequenceLayout
 from .model import gathered_attention
-
-VISUAL = "visual"
-TEXT = "text_context"
-
-
-def require_int(value, name: str) -> int:
-    """value as an int; a non-int, a bool included, raises ValueError naming it."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
 class RefreshSchedule:
-    """Per-(group, modality) refresh intervals, shallow to deep."""
+    """Per-(group, modality) refresh intervals, shallow to deep. Checks each
+    interval is an int >= 1, the divisibility chain per modality and the
+    per-group modality ordering; raises ValueError naming the first
+    offending (group, modality)."""
 
     tau_text: tuple[int, ...]
     tau_visual: tuple[int, ...]
@@ -46,7 +38,25 @@ class RefreshSchedule:
             taus = tuple(require_int(x, f"{name}[{g}]")
                          for g, x in enumerate(getattr(self, name)))
             object.__setattr__(self, name, taus)
-        validate_schedule(self)
+        if len(self.tau_text) != len(self.tau_visual):
+            raise ValueError("tau_text and tau_visual must cover the same groups")
+        if not self.tau_text:
+            raise ValueError("schedule must cover at least one group")
+        for m, tau in (("text_context", self.tau_text), ("visual", self.tau_visual)):
+            for g, t in enumerate(tau):
+                if t < 1:
+                    raise ValueError(f"interval for (group {g + 1}, {m}) must be >= 1")
+                if g > 0 and tau[g - 1] % t != 0:
+                    raise ValueError(
+                        f"divisibility violated at (group {g}, {m}) vs (group {g + 1}, {m}): "
+                        f"{tau[g - 1]} is not an integer multiple of {t}"
+                    )
+        for g, (tv, tt) in enumerate(zip(self.tau_visual, self.tau_text)):
+            if tv < tt:
+                raise ValueError(
+                    f"modality ordering violated at group {g + 1}: "
+                    f"tau_visual={tv} < tau_text={tt}"
+                )
 
     @classmethod
     def uniform_modality(cls, tau: tuple[int, ...]) -> "RefreshSchedule":
@@ -56,31 +66,6 @@ class RefreshSchedule:
     @property
     def num_groups(self) -> int:
         return len(self.tau_text)
-
-
-def validate_schedule(schedule: RefreshSchedule) -> None:
-    """Check the divisibility chain per modality and the per-group modality
-    ordering; raises ValueError naming the first offending (group, modality)."""
-    taus = {TEXT: schedule.tau_text, VISUAL: schedule.tau_visual}
-    if len(schedule.tau_text) != len(schedule.tau_visual):
-        raise ValueError("tau_text and tau_visual must cover the same groups")
-    if not schedule.tau_text:
-        raise ValueError("schedule must cover at least one group")
-    for m, tau in taus.items():
-        for g, t in enumerate(tau):
-            if t < 1:
-                raise ValueError(f"interval for (group {g + 1}, {m}) must be >= 1")
-            if g > 0 and tau[g - 1] % t != 0:
-                raise ValueError(
-                    f"divisibility violated at (group {g}, {m}) vs (group {g + 1}, {m}): "
-                    f"{tau[g - 1]} is not an integer multiple of {t}"
-                )
-    for g, (tv, tt) in enumerate(zip(schedule.tau_visual, schedule.tau_text)):
-        if tv < tt:
-            raise ValueError(
-                f"modality ordering violated at group {g + 1}: "
-                f"tau_visual={tv} < tau_text={tt}"
-            )
 
 
 def neighborhood(layout: SequenceLayout, n: int) -> np.ndarray:

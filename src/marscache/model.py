@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NEG_INF, Matrix, RandomStream, seeded_stream, softmax_rows_inplace
+from .core import (NEG_INF, Matrix, RandomStream, require_int, seeded_stream,
+                   softmax_rows_inplace)
 
 RMS_EPS = 1e-6
 ROTARY_BASE = 10000.0
@@ -30,6 +31,8 @@ class ModelConfig:
     mask_mode: str = "bidirectional"  # "causal" | "bidirectional"
 
     def __post_init__(self):
+        for name in ("num_layers", "num_heads", "model_dim", "head_dim", "vocab_size"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if self.num_heads < 1:
             raise ValueError(f"num_heads {self.num_heads} must be >= 1")
         if self.head_dim < 2 or self.head_dim % 2:
@@ -42,7 +45,8 @@ class ModelConfig:
                 f"model_dim {self.model_dim} != num_heads*head_dim "
                 f"{self.num_heads}*{self.head_dim}"
             )
-        gb = tuple(self.group_boundaries)
+        gb = tuple(require_int(b, f"group_boundaries[{i}]")
+                   for i, b in enumerate(self.group_boundaries))
         if not gb or gb[0] != 0 or list(gb) != sorted(set(gb)) or gb[-1] >= self.num_layers:
             raise ValueError(f"group_boundaries {gb} do not partition [0, {self.num_layers})")
         if self.mask_mode not in ("causal", "bidirectional"):

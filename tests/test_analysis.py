@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +37,19 @@ SMALL = ModelConfig(
 def small_layout():
     return default_layout(num_frames=4, patches_per_frame=4, prompt_length=8,
                           generation_length=32, block_length=16, vocab_size=64)
+
+
+def step_entries(trace):
+    return [s.attention_entries + s.proxy_entries for s in trace.steps]
+
+
+# The StepRecord fields a step plan sets, which a prediction carries.
+PLAN_FIELDS = ("step", "block", "attention_entries", "proxy_entries", "rows_recomputed",
+               "refreshed_visual", "refreshed_text")
+
+
+def plan_fields(trace):
+    return [tuple(getattr(s, name) for name in PLAN_FIELDS) for s in trace.steps]
 
 
 class TestVisibilityFrequency:
@@ -145,7 +159,7 @@ class TestAttentionCost:
         lay = small_layout()
         dc = DecodeConfig(32, 16, 16, tokens_per_step=2)
         report = attention_cost(EngineParams(kind="vanilla"), cfg, lay, dc)
-        assert report.total_entries == 16 * lay.total_length**2
+        assert report.total_entries() == 16 * lay.total_length**2
 
     def test_chunk_portion_closed_form(self):
         lay = default_layout()
@@ -174,7 +188,7 @@ class TestAttentionCost:
             kind, lay, SMALL, dc, schedule=schedule, budgets=budgets,
             sample_size=8,
         )
-        assert report.per_step_entries == expect
+        assert step_entries(report) == expect
 
     @pytest.mark.parametrize("kind", ["vanilla", "dual_cache", "mars"])
     def test_trace_matches_analytic(self, kind):
@@ -194,8 +208,11 @@ class TestAttentionCost:
         eng = make_engine(params, w, lay, wk.visual_embeddings, wk.prompt_tokens)
         _, trace = decode(eng, lay, dc)
         report = attention_cost(params, SMALL, lay, dc, trace=trace)
-        recorded = [s.attention_entries + s.proxy_entries for s in trace.steps]
-        assert recorded == report.per_step_entries
+        assert plan_fields(report) == plan_fields(trace)
+        predicted = attention_cost(params, SMALL, lay, dc)
+        assert plan_fields(predicted) == plan_fields(trace)
+        # A prediction is a trace the cost model accepts.
+        attention_cost(params, SMALL, lay, dc, trace=predicted)
 
     @pytest.mark.parametrize("kind", ["vanilla", "dual_cache", "mars"])
     def test_no_trace_counts_only_the_steps_decode_runs(self, kind):
@@ -216,19 +233,21 @@ class TestAttentionCost:
         eng = make_engine(params, w, lay, wk.visual_embeddings, wk.prompt_tokens)
         _, trace = decode(eng, lay, dc)
         report = attention_cost(params, SMALL, lay, dc)
-        assert len(report.per_step_entries) == len(trace.steps) == 8
-        assert report.per_step_entries == [
-            s.attention_entries + s.proxy_entries for s in trace.steps
-        ]
+        assert len(report.steps) == len(trace.steps) == 8
+        assert plan_fields(report) == plan_fields(trace)
+        assert (report.engine, report.config) == (trace.engine, trace.config)
+        assert all(s.committed == [] and s.elapsed_ns == 0 and s.anchor_digest is None
+                   and s.masked_remaining == 0 for s in report.steps)
+        attention_cost(params, SMALL, lay, dc, trace=report)
 
     def test_no_trace_toy_totals_at_four_tokens_per_step(self):
         dc = DecodeConfig(64, 32, 32, tokens_per_step=4)
         cfg, lay = ModelConfig(), default_layout()
         vanilla = attention_cost(EngineParams(kind="vanilla"), cfg, lay, dc)
         dual = attention_cost(EngineParams(kind="dual_cache"), cfg, lay, dc)
-        assert len(vanilla.per_step_entries) == 16
-        assert vanilla.total_entries == 5_537_792
-        assert dual.total_entries == 1_437_696
+        assert len(vanilla.steps) == 16
+        assert vanilla.total_entries() == 5_537_792
+        assert dual.total_entries() == 1_437_696
 
     def test_threshold_mode_needs_the_trace(self):
         lay = small_layout()
@@ -241,7 +260,7 @@ class TestAttentionCost:
         eng = make_engine(params, w, lay, wk.visual_embeddings, wk.prompt_tokens)
         _, trace = decode(eng, lay, dc)
         report = attention_cost(params, SMALL, lay, dc, trace=trace)
-        assert len(report.per_step_entries) == len(trace.steps)
+        assert len(report.steps) == len(trace.steps)
 
     def test_trace_mismatch_detected(self):
         lay = small_layout()
@@ -254,6 +273,48 @@ class TestAttentionCost:
         trace.steps[3].attention_entries += 1
         with pytest.raises(ValueError, match="trace/plan mismatch"):
             attention_cost(params, SMALL, lay, dc, trace=trace)
+
+    # Step 6 of this mars decode refreshes visual groups [3] and text groups
+    # [2, 3] and builds no anchors; each edit keeps every other field.
+    @pytest.mark.parametrize("field, edit", [
+        ("rows_recomputed", lambda s: replace(s, rows_recomputed=s.rows_recomputed - 1)),
+        ("refreshed_visual", lambda s: replace(s, refreshed_visual=[2, 3])),
+        ("refreshed_text", lambda s: replace(s, refreshed_text=[1, 2, 3])),
+        ("attention_entries", lambda s: replace(s, attention_entries=s.attention_entries - 1,
+                                                proxy_entries=s.proxy_entries + 1)),
+    ], ids=["rows-minus-one", "visual-suffix", "text-suffix", "entry-to-proxy"])
+    def test_trace_plan_field_edit_rejected(self, field, edit):
+        lay = small_layout()
+        dc = DecodeConfig(32, 16, 16, tokens_per_step=2)
+        params = EngineParams(
+            kind="mars",
+            schedule=RefreshSchedule(tau_text=(8, 4, 2, 1), tau_visual=(8, 8, 4, 2)),
+            anchor_budgets=("full", 2, 1, 0), sample_size=8,
+        )
+        w = init_weights(SMALL, 42)
+        wk = make_workload(lay, SMALL, 42)
+        eng = make_engine(params, w, lay, wk.visual_embeddings, wk.prompt_tokens)
+        _, trace = decode(eng, lay, dc)
+        step = trace.steps[5]
+        assert (step.step, step.refreshed_visual, step.refreshed_text) == (6, [3], [2, 3])
+        assert step.proxy_entries == 0
+        trace.steps[5] = edit(step)
+        message = (f"trace/plan mismatch at step 6: recorded {field} "
+                   f"{getattr(trace.steps[5], field)}, analytic {getattr(step, field)}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            attention_cost(params, SMALL, lay, dc, trace=trace)
+
+    def test_trace_of_another_engine_rejected(self):
+        lay = small_layout()
+        dc = DecodeConfig(32, 16, 16, tokens_per_step=2)
+        w = init_weights(SMALL, 42)
+        wk = make_workload(lay, SMALL, 42)
+        eng = make_engine(EngineParams(kind="dual_cache"), w, lay, wk.visual_embeddings,
+                          wk.prompt_tokens)
+        _, trace = decode(eng, lay, dc)
+        with pytest.raises(ValueError, match="^trace engine 'dual_cache' is not the "
+                                             "configured 'vanilla'$"):
+            attention_cost(EngineParams(kind="vanilla"), SMALL, lay, dc, trace=trace)
 
     # Vanilla steps all cost the same, so only the step and block sequence
     # tells these from the decode's own trace.
@@ -297,7 +358,7 @@ class TestAttentionCost:
         params = EngineParams(kind="vanilla")
         before = attention_cost(params, SMALL, lay, dc)
         after = attention_cost(params, SMALL, lay, dc)
-        assert before.per_step_entries == after.per_step_entries
+        assert step_entries(before) == step_entries(after)
 
     def test_recomputed_row_layers_ratio_over_128_steps(self):
         # Text pyramid 64/32/16/8 with visual at 2x, generation 128 in blocks
@@ -316,9 +377,9 @@ class TestAttentionCost:
             cfg, lay, dc,
         )
         vanilla = attention_cost(EngineParams(kind="vanilla"), cfg, lay, dc)
-        assert mars.total_rows == 45_248
-        assert vanilla.total_rows == 128 * 272 * 8
-        assert mars.total_rows / vanilla.total_rows <= 0.25
+        assert mars.total_rows_recomputed() == 45_248
+        assert vanilla.total_rows_recomputed() == 128 * 272 * 8
+        assert mars.total_rows_recomputed() / vanilla.total_rows_recomputed() <= 0.25
 
 
 class TestRelocateHighNorm:

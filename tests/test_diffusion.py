@@ -456,3 +456,53 @@ class TestDecodeConfigValidation:
             DecodeConfig(generation, 32, block, tokens_per_step=2)
         with pytest.raises(ValueError, match="generation_length and block_length must be >= 1"):
             DecodeConfig(generation, 32, block, confidence_threshold=0.5)
+
+
+LAYOUT_ARGS = dict(num_frames=4, patches_per_frame=4, prompt_length=8,
+                   generation_length=32, block_length=16, mask_token_id=63)
+DECODE_ARGS = dict(generation_length=32, num_steps=16, block_length=16, tokens_per_step=2)
+
+
+SIZE_FIELDS = [
+    *[(ModelConfig, {}, name)
+      for name in ("num_layers", "num_heads", "model_dim", "head_dim", "vocab_size")],
+    *[(SequenceLayout, LAYOUT_ARGS, name) for name in LAYOUT_ARGS],
+    *[(DecodeConfig, DECODE_ARGS, name) for name in DECODE_ARGS],
+]
+
+
+class TestConfigSizesAreInts:
+    @pytest.mark.parametrize("bad", [2.0, True, "2"])
+    @pytest.mark.parametrize("cls, args, field", [
+        pytest.param(cls, args, field, id=f"{cls.__name__}.{field}")
+        for cls, args, field in SIZE_FIELDS
+    ])
+    def test_non_int_size_rejected(self, cls, args, field, bad):
+        with pytest.raises(ValueError, match=rf"^{field} must be an int, got {bad!r}$"):
+            cls(**{**args, field: bad})
+
+    @pytest.mark.parametrize("bad", [2.0, True, "2"])
+    def test_non_int_group_boundary_rejected(self, bad):
+        with pytest.raises(ValueError, match=rf"group_boundaries\[1\] must be an int, got {bad!r}"):
+            ModelConfig(group_boundaries=(0, bad, 4, 6))
+
+    def test_bool_confidence_threshold_rejected(self):
+        with pytest.raises(ValueError, match=r"confidence_threshold must lie in \(0, 1\]"):
+            DecodeConfig(32, 16, 16, confidence_threshold=True)
+
+    def test_numpy_int_sizes_are_stored_as_ints(self):
+        cfg = ModelConfig(num_layers=np.int64(4), num_heads=2, model_dim=32, head_dim=16,
+                          vocab_size=64, group_boundaries=(0, np.int64(2)))
+        lay = SequenceLayout(**{**LAYOUT_ARGS, "num_frames": np.int64(4)})
+        assert type(cfg.num_layers) is int and type(cfg.group_boundaries[1]) is int
+        assert type(lay.num_frames) is int and lay.visual_length == 16
+
+    def test_numpy_int_decode_trace_round_trips(self, tmp_path):
+        eng, lay, dc = toy_session(steps=np.int64(16), tokens_per_step=np.int64(2))
+        assert (type(dc.num_steps), type(dc.tokens_per_step)) == (int, int)
+        _, trace = decode(eng, lay, dc)
+        path = str(tmp_path / "trace.jsonl")
+        trace.to_jsonl(path)
+        loaded = DecodeTrace.from_jsonl(path)
+        assert loaded.config == trace.config == {**DECODE_ARGS, "confidence_threshold": None}
+        assert loaded.steps == trace.steps

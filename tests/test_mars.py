@@ -21,7 +21,6 @@ from marscache import (
     proxy_scores,
     seeded_stream,
     select_anchors,
-    validate_schedule,
 )
 from marscache import engines, model
 from marscache.mars import (
@@ -47,12 +46,10 @@ def small_layout(**kw):
 
 class TestSchedule:
     def test_pyramid_accepted(self):
-        validate_schedule(RefreshSchedule.uniform_modality((64, 32, 16, 8)))
+        RefreshSchedule.uniform_modality((64, 32, 16, 8))
 
     def test_modality_aware_accepted(self):
-        validate_schedule(
-            RefreshSchedule(tau_text=(64, 32, 16, 8), tau_visual=(128, 64, 32, 16))
-        )
+        RefreshSchedule(tau_text=(64, 32, 16, 8), tau_visual=(128, 64, 32, 16))
 
     def test_divisibility_violation_named(self):
         with pytest.raises(ValueError, match="group 1"):
@@ -63,7 +60,7 @@ class TestSchedule:
             RefreshSchedule(tau_text=(32, 16), tau_visual=(16, 16))
 
     def test_equal_intervals_are_valid_multiples(self):
-        validate_schedule(RefreshSchedule.uniform_modality((32, 32, 32, 32)))
+        RefreshSchedule.uniform_modality((32, 32, 32, 32))
 
     @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None])
     @pytest.mark.parametrize("field", ["tau_text", "tau_visual"])

@@ -133,7 +133,8 @@ def test_threshold_mode_plans_match_cost_model_and_degenerate_mars_matches_vanil
         assert trace.steps[-1].masked_remaining == 0
         recorded = [s.attention_entries + s.proxy_entries for s in trace.steps]
         report = attention_cost(params, model, layout, dc, trace=trace)
-        assert report.per_step_entries == recorded, params.kind
+        predicted = [s.attention_entries + s.proxy_entries for s in report.steps]
+        assert predicted == recorded, params.kind
         return tokens, trace
 
     for kind, params in (("vanilla", {}), ("dual_cache", {}), ("mars", mars)):
